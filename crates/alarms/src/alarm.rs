@@ -1,14 +1,13 @@
 use sa_geometry::{Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies an installed spatial alarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AlarmId(pub u64);
 
 /// Identifies a mobile subscriber. In the evaluation, subscriber `k` is
 /// vehicle `k` of the mobility trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubscriberId(pub u32);
 
 impl fmt::Display for AlarmId {
@@ -29,7 +28,7 @@ impl fmt::Display for SubscriberId {
 /// subscriber; classes (2) and (3) anchor the alarm region on another moving
 /// entity, requiring server-coordinated position updates for the target
 /// itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AlarmTarget {
     /// A fixed location of interest (e.g., "the dry-clean store").
     Static(Point),
@@ -38,7 +37,7 @@ pub enum AlarmTarget {
 }
 
 /// Publish–subscribe scope of an alarm (paper §1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AlarmScope {
     /// Installed and used exclusively by the publisher.
     Private {
@@ -93,7 +92,7 @@ impl AlarmScope {
 /// alarm target, an owner and a subscriber scope. The alarm *triggers* for
 /// a subscriber when that subscriber enters the region; triggering is
 /// one-shot per (alarm, subscriber) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpatialAlarm {
     id: AlarmId,
     region: Rect,

@@ -2,11 +2,10 @@ use crate::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sa_geometry::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the alarm workload generator, defaulting to the paper's
 /// §5.1 setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of alarms to install (paper default: 10,000).
     pub alarms: usize,
@@ -52,7 +51,7 @@ impl Default for WorkloadConfig {
 }
 
 /// A generated set of installed alarms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlarmWorkload {
     alarms: Vec<SpatialAlarm>,
     config: WorkloadConfig,

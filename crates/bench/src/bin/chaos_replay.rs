@@ -73,7 +73,6 @@ fn main() {
             ],
         },
         plan,
-        policy: None,
     };
 
     let started = Instant::now();
@@ -89,7 +88,7 @@ fn main() {
     let degraded_seconds = replay.metrics.counter("sa_client_degraded_seconds", &[]).unwrap_or(0);
     let throughput = replay.server.location_updates as f64 / wall_seconds.max(1e-9);
 
-    // Hand-rolled JSON: the vendored serde stub has no serializer, and
+    // Hand-rolled JSON: the workspace carries no serialization dependency, and
     // the shape here is flat enough not to need one.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"preset\": \"{}\",", opts.preset);

@@ -135,7 +135,7 @@ fn main() {
     let total_updates: u64 = outcome.per_partition_updates.iter().sum();
     let throughput = total_updates as f64 / wall_seconds.max(1e-9);
 
-    // Hand-rolled JSON: the vendored serde stub has no serializer.
+    // Hand-rolled JSON: the workspace carries no serialization dependency.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"partitions\": {},", opts.partitions);
     let _ = writeln!(json, "  \"vehicles\": {},", opts.vehicles);

@@ -142,7 +142,7 @@ fn main() {
         0.0
     };
 
-    // Hand-rolled JSON: the vendored serde stub has no serializer, and
+    // Hand-rolled JSON: the workspace carries no serialization dependency, and
     // the shape here is flat enough not to need one.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"scale\": {},", opts.scale);

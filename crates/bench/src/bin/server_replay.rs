@@ -75,7 +75,7 @@ fn main() {
     };
     let throughput = outcome.server.location_updates as f64 / wall_seconds.max(1e-9);
 
-    // Hand-rolled JSON: the vendored serde stub has no serializer, and
+    // Hand-rolled JSON: the workspace carries no serialization dependency, and
     // the shape here is flat enough not to need one.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"steps\": {},", outcome.steps);

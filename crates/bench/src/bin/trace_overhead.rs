@@ -102,7 +102,7 @@ fn main() {
     let sampled_overhead_pct = (sampled - off) / off.max(1e-9) * 100.0;
     let within_budget = overhead_pct <= opts.budget_pct;
 
-    // Hand-rolled JSON: the vendored serde stub has no serializer.
+    // Hand-rolled JSON: the workspace carries no serialization dependency.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"steps\": {},", opts.steps);
     let _ = writeln!(json, "  \"rounds\": {},", opts.rounds);

@@ -6,7 +6,7 @@
 //! RNG seeded from the config, one synchronous driver thread, chaos
 //! decorators on the client links (and, fault-plan permitting, the
 //! handoff mesh and coordinator links), and an exact
-//! [`GroundTruth`] gate over the observed firings.
+//! [`GroundTruth`](sa_sim::GroundTruth) gate over the observed firings.
 //!
 //! Byte-level determinism is witnessed by an FNV-1a digest folded over
 //! **every** exchange on every link — client, mesh, coordinator and
@@ -24,18 +24,18 @@ use crate::federation::Federation;
 use crate::handoff::HandoffChannel;
 use crate::router::FedTransport;
 use crate::stats::federated_scrape;
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use rand::{rngs::SmallRng, SeedableRng};
 use sa_alarms::SubscriberId;
 use sa_geometry::Point;
 use sa_obs::{chrome_trace_json, FlightBundle, Span, SpanRecorder, TimeSource};
 use sa_roadnet::Fleet;
 use sa_server::wire::{BatchedUpdate, SEQ_MASK};
 use sa_server::{
-    ChaosControls, Client, FaultPlan, FaultyTransport, InProcTransport, InjectedCounts, Request,
-    ResiliencePolicy, Response, ServerConfig, SharedClock, StrategySpec, Transport,
+    shuffle, ChaosControls, Client, FaultPlan, FaultyTransport, InProcTransport, InjectedCounts,
+    Request, ResiliencePolicy, Response, ServerConfig, SharedClock, StrategySpec, Transport,
     TransportError, VirtualClock,
 };
-use sa_sim::{FiredEvent, GroundTruth, SimulationConfig, SimulationHarness};
+use sa_sim::{FiredEvent, SimulationConfig, SimulationHarness};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -208,15 +208,6 @@ fn error_tag(e: &TransportError) -> &'static [u8] {
         TransportError::TimedOut => b"\x04",
         TransportError::Protocol(_) => b"\x05",
         TransportError::WrongOwner { .. } => b"\x06",
-    }
-}
-
-/// Fisher–Yates under the given RNG (the vendored `rand` has no
-/// `shuffle`).
-fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
-    for i in (1..items.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        items.swap(i, j);
     }
 }
 
@@ -450,14 +441,7 @@ pub fn fed_replay(cfg: &FedReplayConfig) -> Result<FedOutcome, TransportError> {
     let scrape =
         federated_scrape(fed.servers(), fed.grid(), coordinator.map(), &fed.cell_loads());
 
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification = GroundTruth::new(expected).verify(&fired).map_err(|e| {
+    let verification = harness.ground_truth().verify_prefix(steps, &fired).map_err(|e| {
         // The flight recorder: one forensic bundle per divergence —
         // merged span trees, every member's trace ring, every member's
         // registry snapshot.

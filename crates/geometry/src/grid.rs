@@ -1,9 +1,8 @@
 use crate::{GeometryError, Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a cell of a [`Grid`] by column (x) and row (y).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
     /// Zero-based column index (increasing x).
     pub col: u32,
@@ -40,7 +39,7 @@ impl fmt::Display for CellId {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     universe: Rect,
     cell_size: f64,

@@ -1,5 +1,4 @@
 use crate::{GeometryError, Quadrant};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{PI, TAU};
 
 /// One full turn (2π radians).
@@ -61,7 +60,7 @@ pub fn normalize_angle(a: f64) -> f64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotionPdf {
     y: f64,
     z: u32,
@@ -77,7 +76,7 @@ pub struct MotionPdf {
 ///
 /// Produced by [`MotionPdf::quadrant_weights`]; consumed by the MWPSR greedy
 /// quadrant-ordering step (paper §3, step 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrantWeights {
     weights: [f64; 4],
 }

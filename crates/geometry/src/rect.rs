@@ -1,5 +1,4 @@
 use crate::{GeometryError, Point};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A closed axis-aligned rectangle `[min_x, max_x] × [min_y, max_y]`.
@@ -20,7 +19,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min_x: f64,
     min_y: f64,

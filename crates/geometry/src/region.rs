@@ -1,5 +1,4 @@
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A rectilinear region represented as a union of pairwise
 /// interior-disjoint rectangles.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RectilinearRegion {
     rects: Vec<Rect>,
 }

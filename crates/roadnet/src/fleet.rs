@@ -2,16 +2,15 @@ use crate::{EdgeId, NodeId, RoadNetwork, Router};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sa_geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a vehicle (mobile subscriber) in a [`Fleet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VehicleId(pub u32);
 
 /// One position sample of one vehicle — the unit of the "very high
 /// frequency trace of the motion pattern of the vehicles" the paper uses to
 /// determine the ground-truth alarm sequence (§5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSample {
     /// Simulation time in seconds since the start of the trace.
     pub time: f64,
@@ -26,7 +25,7 @@ pub struct TraceSample {
 }
 
 /// Configuration of a vehicle fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of vehicles (the paper's default traffic volume is 10,000).
     pub vehicles: usize,

@@ -2,13 +2,12 @@ use crate::{RoadClass, RoadNetwork};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sa_geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic road-network generator.
 ///
 /// The defaults reproduce the paper's setting: a universe of roughly
 /// 1000 km² (31.6 km × 31.6 km) covered by a hierarchical road grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Side of the square universe in meters.
     pub universe_side_m: f64,

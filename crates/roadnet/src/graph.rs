@@ -1,16 +1,15 @@
 use sa_geometry::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Index of a junction in a [`RoadNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Index of a road segment in a [`RoadNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 /// Functional class of a road segment, determining its travel speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoadClass {
     /// Limited-access highway.
     Highway,
@@ -32,7 +31,7 @@ impl RoadClass {
 }
 
 /// A junction of the road network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadNode {
     /// Stable identifier (equal to the node's index).
     pub id: NodeId,
@@ -42,7 +41,7 @@ pub struct RoadNode {
 
 /// An undirected road segment between two junctions. Vehicles may traverse
 /// it in either direction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadEdge {
     /// Stable identifier (equal to the edge's index).
     pub id: EdgeId,
@@ -79,7 +78,7 @@ impl RoadEdge {
 }
 
 /// An undirected road network with adjacency lists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadNetwork {
     nodes: Vec<RoadNode>,
     edges: Vec<RoadEdge>,

@@ -32,17 +32,14 @@
 //! verifies the fired-alarm sequence against the ground truth — the
 //! paper's 100%-accuracy requirement must survive the fault plan.
 
-use crate::client::{Client, ResiliencePolicy};
+use crate::client::ClientStats;
 use crate::clock::{SharedClock, SystemClock};
-use crate::replay::{ReplayConfig, ReplayOutcome};
-use crate::server::Server;
+use crate::replay::{conclude, start_server, FleetDrive, Link, ReplayConfig, ReplayOutcome};
 use crate::transport::{InProcTransport, Transport, TransportError};
 use crate::wire::{Request, Response};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use sa_alarms::SubscriberId;
 use sa_obs::{Counter, Registry};
-use sa_roadnet::Fleet;
-use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
+use sa_sim::SimulationHarness;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -401,11 +398,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 pub struct ChaosConfig {
     /// Base replay shape (steps, server sizing, strategies).
     pub replay: ReplayConfig,
-    /// The fault schedule.
+    /// The fault schedule; every client rides it out with
+    /// [`crate::ResiliencePolicy::standard`] seeded per client.
     pub plan: FaultPlan,
-    /// Per-client resilience knobs; `None` uses
-    /// [`ResiliencePolicy::standard`] seeded per client.
-    pub policy: Option<ResiliencePolicy>,
 }
 
 /// A [`ReplayOutcome`] plus the chaos-specific evidence.
@@ -430,8 +425,8 @@ pub struct ChaosOutcome {
 /// [`FaultyTransport`]-wrapped in-proc connections, driving the plan's
 /// disconnect windows, and verifies the fired sequence against the
 /// ground truth. The handshake runs fault-free; faults arm for the
-/// replayed steps; the final drain ([`Client::finish`]) runs with the
-/// link restored, as a real outage ends.
+/// replayed steps; the final drain ([`crate::Client::finish`]) runs
+/// with the link restored, as a real outage ends.
 ///
 /// # Errors
 ///
@@ -445,144 +440,30 @@ pub fn chaos_replay_in_proc(
     harness: &SimulationHarness,
     cfg: &ChaosConfig,
 ) -> Result<ChaosOutcome, TransportError> {
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.replay.strategies.is_empty(), "need at least one strategy to assign");
-
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.replay.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
-
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.replay.server,
-    );
-    let registry = server.registry().clone();
-
-    let mut controls = Vec::new();
-    let mut counts = Vec::new();
-    let mut clients: Vec<Client<FaultyTransport<InProcTransport>>> = (0..config
-        .fleet
-        .vehicles as u32)
-        .map(|v| {
-            let strategy = cfg.replay.strategies[v as usize % cfg.replay.strategies.len()];
+    let drive = FleetDrive::new(harness, &cfg.replay.strategies, cfg.replay.steps)
+        .faults(&cfg.plan, cfg.plan.seed);
+    let server = start_server(harness, &cfg.replay);
+    let vehicles = harness.config().fleet.vehicles as u32;
+    let driven = drive
+        .seat(&server, 0..vehicles, |v| {
             let inner = InProcTransport::connect(Arc::clone(&server));
+            let session = inner.session();
             let mut transport = FaultyTransport::new(inner, cfg.plan.clone(), u64::from(v));
-            transport.instrument(&registry);
-            controls.push(transport.controls());
-            counts.push(transport.counts());
-            let mut client = Client::connect(
-                transport,
-                SubscriberId(v),
-                strategy,
-                harness.grid().clone(),
-                dt,
-            )?;
-            let policy = cfg
-                .policy
-                .unwrap_or_else(|| ResiliencePolicy::standard(cfg.plan.seed ^ u64::from(v)));
-            client.enable_resilience(policy);
-            client.instrument(&registry);
-            Ok(client)
-        })
-        .collect::<Result<_, TransportError>>()?;
+            transport.instrument(server.registry());
+            let chaos = Some((transport.controls(), transport.counts()));
+            Ok(Link { transport, session, chaos })
+        })?
+        .run(None)?;
 
-    // Handshakes are done — let the faults fly.
-    for c in &controls {
-        c.set_armed(true);
-    }
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    let mut was_down = false;
-    for step in 0..steps {
-        let down = cfg.plan.disconnected_at(step);
-        if down != was_down {
-            for c in &controls {
-                c.set_link_down(down);
-            }
-            was_down = down;
-        }
-        fleet.step_into(dt, &mut samples);
-        for s in &samples {
-            clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed)?;
-        }
-    }
-
-    // The outage is over: restore the link, keep probabilistic faults
-    // off for the drain, and reconcile every backlog.
-    for c in &controls {
-        c.set_link_down(false);
-        c.set_armed(false);
-    }
-    for client in &mut clients {
-        client.finish()?;
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    let mut degraded_steps = 0u64;
-    let mut retries = 0u64;
-    let mut resyncs = 0u64;
-    for client in &mut clients {
-        let stats = client.stats();
-        degraded_steps += stats.degraded_steps;
-        retries += stats.retries;
-        resyncs += stats.resyncs;
-        per_client.push((client.user(), client.strategy(), stats));
-        fired.extend(client.take_fired());
-    }
-
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification = GroundTruth::new(expected).verify(&fired).map_err(|e| {
-        let dump = server.trace_dump();
-        if dump.is_empty() {
-            e
-        } else {
-            format!("{e}\nserver trace ring:\n{dump}")
-        }
-    });
-
-    // Fold the per-transport tallies into one.
-    let mut by_kind: Vec<(&'static str, u64)> = vec![
-        ("drop_up", 0),
-        ("drop_down", 0),
-        ("dup_up", 0),
-        ("dup_down", 0),
-        ("delay_up", 0),
-        ("delay_down", 0),
-        ("disconnect", 0),
-    ];
-    for c in &counts {
-        for (slot, (kind, n)) in by_kind.iter_mut().zip(c.by_kind()) {
-            debug_assert_eq!(slot.0, kind);
-            slot.1 += n;
-        }
-    }
-    let injected_total: u64 = by_kind.iter().map(|(_, n)| n).sum();
-
-    let total_samples = u64::from(steps) * config.fleet.vehicles as u64;
-    let outcome = ChaosOutcome {
-        replay: ReplayOutcome {
-            fired,
-            verification,
-            clients: per_client,
-            server: server.stats(),
-            cache: server.cache_stats(),
-            metrics: server.registry().snapshot(),
-            steps,
-        },
-        injected: by_kind,
+    let sum = |f: fn(&ClientStats) -> u64| driven.clients.iter().map(|(_, _, s)| f(s)).sum();
+    let degraded_steps: u64 = sum(|s| s.degraded_steps);
+    let retries = sum(|s| s.retries);
+    let resyncs = sum(|s| s.resyncs);
+    let injected_total = driven.injected.iter().map(|(_, n)| n).sum();
+    let total_samples = u64::from(drive.steps()) * u64::from(vehicles);
+    Ok(ChaosOutcome {
+        replay: conclude(harness, &server, drive.steps(), driven.fired, driven.clients),
+        injected: driven.injected,
         injected_total,
         degraded_fraction: if total_samples == 0 {
             0.0
@@ -591,15 +472,13 @@ pub fn chaos_replay_in_proc(
         },
         retries,
         resyncs,
-    };
-    server.shutdown();
-    Ok(outcome)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::server::{Server, ServerConfig};
     use crate::wire::StrategySpec;
     use sa_geometry::{Grid, Rect};
 

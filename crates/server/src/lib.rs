@@ -35,11 +35,12 @@
 //!
 //! ```text
 //! chaos   ── FaultyTransport decorator + chaos replay harness
-//! replay  ── drives clients over a sa-roadnet trace (per-request or
-//!            batched multi-worker), verifies vs GroundTruth
+//! replay  ── FleetDrive, the one step driver over a sa-roadnet trace
+//!            (per-request, batched, faulty), gated vs GroundTruth
 //! client  ── per-strategy mirrors (MWPSR / PBSR / OPT / safe-period)
 //!            + retry → degraded → resync → steady resilience machine
-//! transport ─ InProc | Tcp, both framing through the wire codec
+//! transport ─ InProc | Tcp client ends, both framing through the codec
+//! reactor ── the TCP front end: nonblocking sockets, many per worker
 //! server  ── router + sessions; LocationUpdate → bounded shard queues
 //! shard   ── VersionedShardIndex (global↔local alarm ids, epoch-
 //!            versioned snapshots) + ShardPool workers
@@ -74,13 +75,13 @@ pub use netfront::{
 };
 pub use reactor::{Reactor, ReactorConfig};
 pub use replay::{
-    replay, replay_batched_in_proc, replay_in_proc, replay_tcp, ReplayConfig, ReplayOutcome,
+    ground_truth_gate, replay, replay_batched_in_proc, replay_in_proc, replay_tcp, shuffle,
+    Driven, FleetDrive, Link, ReplayConfig, ReplayOutcome, Seated,
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};
 pub use shard::{shard_of_index, ShardIndex, ShardPool, ShardSnapshot, VersionedShardIndex};
 pub use transport::{
-    InProcTransport, ReconnectingTcpTransport, TcpServerHandle, TcpTransport, Transport,
-    TransportError,
+    InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
 };
 pub use wire::{CellRange, Request, Response, SessionState, StrategySpec, WireError};

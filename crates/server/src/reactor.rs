@@ -1,8 +1,8 @@
 //! A readiness-driven, non-blocking TCP front end.
 //!
-//! The thread-per-connection loop in [`crate::transport`] is fine for
-//! smoke tests but caps out at a few hundred clients — every idle
-//! connection pins a parked thread and its stack. This module
+//! The server's one TCP front end. A thread-per-connection loop caps
+//! out at a few hundred clients — every idle connection pins a parked
+//! thread and its stack — so this module
 //! multiplexes thousands of connections onto a small fixed pool of
 //! worker threads with a hand-rolled readiness loop over nonblocking
 //! [`std::net`] sockets (the repo vendors its dependencies; no tokio,
@@ -498,7 +498,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::server::ServerConfig;
-    use crate::transport::TcpTransport;
+    use crate::transport::{TcpTransport, Transport};
     use crate::wire::StrategySpec;
     use sa_alarms::{AlarmId, AlarmScope, AlarmTarget, SpatialAlarm, SubscriberId};
     use sa_geometry::{Grid, Point, Rect};
@@ -563,6 +563,23 @@ mod tests {
         assert_eq!(server.session_count(), 0, "session must be gone after Bye+close");
         reactor.shutdown();
         assert_eq!(reactor.open_connections(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn tcp_serves_frames_on_loopback() {
+        let server = tiny_server();
+        let mut reactor = Reactor::bind(Arc::clone(&server), reactor_cfg()).unwrap();
+        let hello = |seq| Request::Hello { seq, user: 7, strategy: StrategySpec::Mwpsr };
+        let mut a = TcpTransport::connect(reactor.addr()).unwrap();
+        let mut b = TcpTransport::connect(reactor.addr()).unwrap();
+        assert_eq!(a.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
+        assert_eq!(b.request(hello(9)).unwrap(), vec![Response::Ack { seq: 9 }]);
+        // Sessions are per-connection: both clients said Hello for user 7
+        // but on distinct sessions, so each Bye only tears down its own.
+        assert_eq!(a.request(Request::Bye { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
+        assert_eq!(b.request(Request::Bye { seq: 10 }).unwrap(), vec![Response::Ack { seq: 10 }]);
+        reactor.shutdown();
         server.shutdown();
     }
 

@@ -4,24 +4,39 @@
 //! a [`Server`] over it, connects one [`Client`] per vehicle through a
 //! caller-chosen transport, and streams the deterministic `sa-roadnet`
 //! trace through the live stack. Every firing observed by any client is
-//! collected and diffed against the simulator's [`GroundTruth`] — the
-//! live runtime must reproduce the paper's 100%-accuracy requirement,
-//! end to end through real message encoding and real threads.
+//! collected and diffed against the simulator's
+//! [`GroundTruth`](sa_sim::GroundTruth) — the live runtime must
+//! reproduce the paper's 100%-accuracy requirement, end to end through
+//! real message encoding and real threads.
+//!
+//! Every replay entry point — per-request, batched multi-worker, TCP,
+//! chaos ([`crate::chaos::chaos_replay_in_proc`]) and `sa-verify`'s
+//! schedule harness — runs on one step driver, [`FleetDrive`]. The
+//! caller owns the server, its clock and the transport stack; the
+//! driver owns client set-up, fault arming, disconnect windows, visit
+//! order, the per-request and batched steps, the final drain and the
+//! ground-truth gate ([`ground_truth_gate`]).
 //!
 //! Only static alarms are replayed (the wire protocol carries no
 //! moving-target coordination); build the harness with
 //! `config.moving_alarms == 0`.
 
-use crate::client::{Client, ClientStats};
+use crate::chaos::{ChaosControls, FaultPlan, InjectedCounts};
+use crate::client::{Client, ClientStats, ResiliencePolicy};
+use crate::clock::{SharedClock, VirtualClock};
+use crate::reactor::{Reactor, ReactorConfig};
 use crate::server::{Server, ServerConfig, ServerStats};
-use crate::transport::{InProcTransport, TcpServerHandle, TcpTransport, Transport, TransportError};
+use crate::transport::{InProcTransport, TcpTransport, Transport, TransportError};
 use crate::wire::{BatchReply, BatchedUpdate, Request, Response, StrategySpec, SEQ_MASK};
 use crate::CacheStats;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use sa_alarms::SubscriberId;
 use sa_obs::{FlightBundle, Snapshot, TraceMode};
-use sa_roadnet::Fleet;
-use sa_sim::{FiredEvent, GroundTruth, SimulationHarness};
+use sa_roadnet::{Fleet, TraceSample};
+use sa_sim::{FiredEvent, SimulationHarness};
+use std::ops::Range;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// What to replay and through what server shape.
 #[derive(Debug, Clone)]
@@ -90,9 +105,415 @@ impl ReplayOutcome {
     }
 }
 
+/// One vehicle's link, built by the caller's `connect` closure for
+/// [`FleetDrive::seat`]: the transport stack plus the handles the
+/// driver steers.
+pub struct Link<T> {
+    /// The client-facing end of the caller's transport stack.
+    pub transport: T,
+    /// The server session the link speaks on; batched steps address
+    /// their [`Request::Batch`] entries with it. `0` (never a real
+    /// session) when the transport cannot name it — such links must not
+    /// be batched.
+    pub session: u32,
+    /// Breaker switches and fault tally of a [`crate::FaultyTransport`]
+    /// in the stack, when there is one. The driver arms it after the
+    /// handshake and disarms it, breaker restored, for the final drain.
+    pub chaos: Option<(ChaosControls, Arc<InjectedCounts>)>,
+}
+
+impl<T> Link<T> {
+    /// A plain link: no nameable session, no fault injector.
+    pub fn new(transport: T) -> Link<T> {
+        Link { transport, session: 0, chaos: None }
+    }
+}
+
+/// What one [`Seated::run`] produced.
+#[derive(Debug)]
+pub struct Driven {
+    /// Every firing observed by the range's clients, unsorted.
+    pub fired: Vec<FiredEvent>,
+    /// Per-client `(subscriber, strategy, counters)`, in vehicle order.
+    pub clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
+    /// Injected faults by kind, summed over every link.
+    pub injected: Vec<(&'static str, u64)>,
+}
+
+/// The fleet-replay step driver. Built once per replay; its mode —
+/// fault plan, visit order, virtual clock — is set through the
+/// builder methods, and every worker [`FleetDrive::seat`]s its own
+/// vehicle range.
+pub struct FleetDrive<'h> {
+    harness: &'h SimulationHarness,
+    strategies: &'h [StrategySpec],
+    steps: u32,
+    /// The plan whose disconnect windows the driver throws, with the
+    /// base seed of the per-client resilience policies it implies.
+    faults: Option<(&'h FaultPlan, u64)>,
+    /// Seed of the per-step visit-order shuffle; `None` visits clients
+    /// in vehicle order.
+    order_seed: Option<u64>,
+    /// Advanced one sample period per step, and handed to every client.
+    clock: Option<Arc<VirtualClock>>,
+}
+
+impl<'h> FleetDrive<'h> {
+    /// A driver over `harness`'s trace for `steps` steps (`None`: the
+    /// whole trace; longer requests are clamped to it), assigning
+    /// `strategies` round-robin by vehicle id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the harness was built with moving-target alarms or
+    /// `strategies` is empty.
+    pub fn new(
+        harness: &'h SimulationHarness,
+        strategies: &'h [StrategySpec],
+        steps: Option<u32>,
+    ) -> FleetDrive<'h> {
+        assert!(
+            harness.moving_alarms().is_none(),
+            "the live wire protocol carries static alarms only"
+        );
+        assert!(!strategies.is_empty(), "need at least one strategy to assign");
+        let total = harness.config().steps() as u32;
+        FleetDrive {
+            harness,
+            strategies,
+            steps: steps.unwrap_or(total).min(total),
+            faults: None,
+            order_seed: None,
+            clock: None,
+        }
+    }
+
+    /// Drives the links under `plan`: every client rides out faults
+    /// with [`ResiliencePolicy::standard`] seeded `resilience_seed ^
+    /// vehicle` (and reports its failure metrics), and the plan's
+    /// disconnect windows throw every link's breaker.
+    pub fn faults(mut self, plan: &'h FaultPlan, resilience_seed: u64) -> FleetDrive<'h> {
+        self.faults = Some((plan, resilience_seed));
+        self
+    }
+
+    /// Visits the clients in a fresh seeded pseudo-random order each
+    /// step (batched entries are submitted in that order), exercising
+    /// shared server state under many arrival orders.
+    pub fn shuffled(mut self, seed: u64) -> FleetDrive<'h> {
+        self.order_seed = Some(seed);
+        self
+    }
+
+    /// Advances `clock` one sample period at the start of every step
+    /// and puts every client's backoff and outage timing on it.
+    pub fn virtual_clock(mut self, clock: Arc<VirtualClock>) -> FleetDrive<'h> {
+        self.clock = Some(clock);
+        self
+    }
+
+    /// Steps the drive replays.
+    pub fn steps(&self) -> u32 {
+        self.steps
+    }
+
+    /// Connects one client per vehicle of `vehicles` over the link
+    /// `connect` builds for that vehicle id, performing every
+    /// handshake fault-free.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a link cannot be built or a handshake is refused.
+    pub fn seat<T: Transport>(
+        &self,
+        server: &Server,
+        vehicles: Range<u32>,
+        mut connect: impl FnMut(u32) -> Result<Link<T>, TransportError>,
+    ) -> Result<Seated<'_, 'h, T>, TransportError> {
+        let grid = self.harness.grid();
+        let dt = self.harness.config().sample_period_s;
+        let mut seats = Vec::with_capacity(vehicles.len());
+        for v in vehicles.clone() {
+            let link = connect(v)?;
+            let strategy = self.strategies[v as usize % self.strategies.len()];
+            let mut client =
+                Client::connect(link.transport, SubscriberId(v), strategy, grid.clone(), dt)?;
+            if let Some(clock) = &self.clock {
+                client.set_clock(Arc::clone(clock) as SharedClock);
+            }
+            if let Some((_, seed)) = self.faults {
+                client.enable_resilience(ResiliencePolicy::standard(seed ^ u64::from(v)));
+                client.instrument(server.registry());
+            }
+            seats.push(Seat { client, session: link.session, chaos: link.chaos });
+        }
+        Ok(Seated { drive: self, vehicles, seats })
+    }
+}
+
+/// One connected client and the driver's handles on its link.
+struct Seat<T: Transport> {
+    client: Client<T>,
+    session: u32,
+    chaos: Option<(ChaosControls, Arc<InjectedCounts>)>,
+}
+
+/// A vehicle range with every client connected, ready to
+/// [`Seated::run`]. Seating and running are separate so a caller can
+/// open further sessions — the batch driver's — after the clients',
+/// keeping session ids (and so transcripts) stable.
+pub struct Seated<'d, 'h, T: Transport> {
+    drive: &'d FleetDrive<'h>,
+    vehicles: Range<u32>,
+    seats: Vec<Seat<T>>,
+}
+
+impl<T: Transport> Seated<'_, '_, T> {
+    /// Replays the trace slice of the seated range. With `batch =
+    /// Some((every, batcher))`, every `every`-th step is submitted as
+    /// [`Request::Batch`] frames over `batcher` (the links must name
+    /// their sessions); all other steps exchange per client.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a client hits a non-transient transport error, the
+    /// server answers outside the batch protocol, or a step stays
+    /// overloaded past the retry budget.
+    pub fn run(
+        mut self,
+        mut batch: Option<(u32, &mut dyn Transport)>,
+    ) -> Result<Driven, TransportError> {
+        let drive = self.drive;
+        let harness = drive.harness;
+        let dt = harness.config().sample_period_s;
+        let plan = drive.faults.map(|(plan, _)| plan);
+        // Handshakes are done — let the faults fly.
+        for c in self.controls() {
+            c.set_armed(true);
+        }
+
+        let mut fleet =
+            Fleet::with_id_range(harness.network(), &harness.config().fleet, self.vehicles.clone());
+        let mut order_rng = drive.order_seed.map(SmallRng::seed_from_u64);
+        let mut samples = Vec::new();
+        let mut order = Vec::new();
+        let mut batch_seq = 0u32;
+        let mut was_down = false;
+        for step in 0..drive.steps {
+            if let Some(clock) = &drive.clock {
+                clock.advance(Duration::from_secs_f64(dt));
+            }
+            if let Some(plan) = plan {
+                let down = plan.disconnected_at(step);
+                if down != was_down {
+                    for c in self.controls() {
+                        c.set_link_down(down);
+                    }
+                    was_down = down;
+                }
+            }
+            fleet.step_into(dt, &mut samples);
+            order.clear();
+            order.extend(0..samples.len());
+            if let Some(rng) = &mut order_rng {
+                shuffle(&mut order, rng);
+            }
+            match &mut batch {
+                Some((every, batcher)) if step % *every == 0 => {
+                    self.batch_step(step, &samples, &order, *batcher, &mut batch_seq)?;
+                }
+                _ => {
+                    for &i in &order {
+                        let s = &samples[i];
+                        let local = (s.vehicle.0 - self.vehicles.start) as usize;
+                        self.seats[local].client.observe(step, s.pos, s.heading, s.speed)?;
+                    }
+                }
+            }
+        }
+
+        // The outage is over: restore the link, keep probabilistic
+        // faults off for the drain, and reconcile every backlog.
+        for c in self.controls() {
+            c.set_link_down(false);
+            c.set_armed(false);
+        }
+        for seat in &mut self.seats {
+            seat.client.finish()?;
+        }
+
+        let mut injected = InjectedCounts::default().by_kind();
+        let mut fired = Vec::new();
+        let mut clients = Vec::with_capacity(self.seats.len());
+        for seat in &mut self.seats {
+            clients.push((seat.client.user(), seat.client.strategy(), seat.client.stats()));
+            fired.extend(seat.client.take_fired());
+            if let Some((_, counts)) = &seat.chaos {
+                for (slot, (_, n)) in injected.iter_mut().zip(counts.by_kind()) {
+                    slot.1 += n;
+                }
+            }
+        }
+        Ok(Driven { fired, clients, injected })
+    }
+
+    /// The breaker switches of every link that carries a fault injector.
+    fn controls(&self) -> impl Iterator<Item = &ChaosControls> {
+        self.seats.iter().filter_map(|s| s.chaos.as_ref().map(|(c, _)| c))
+    }
+
+    /// One batched step: polls every client in `order`, then exchanges
+    /// (and re-exchanges overloaded entries) until the step is fully
+    /// absorbed — every client must complete step `step` before any
+    /// polls `step + 1`.
+    fn batch_step(
+        &mut self,
+        step: u32,
+        samples: &[TraceSample],
+        order: &[usize],
+        batcher: &mut dyn Transport,
+        batch_seq: &mut u32,
+    ) -> Result<(), TransportError> {
+        let mut entries: Vec<BatchedUpdate> = Vec::new();
+        let mut owners: Vec<usize> = Vec::new();
+        for &i in order {
+            let s = &samples[i];
+            let local = (s.vehicle.0 - self.vehicles.start) as usize;
+            let seat = &mut self.seats[local];
+            if let Some(entry) =
+                seat.client.poll_update(seat.session, step, s.pos, s.heading, s.speed)?
+            {
+                entries.push(entry);
+                owners.push(local);
+            }
+        }
+        let mut rounds = 0u32;
+        while !entries.is_empty() {
+            if rounds >= MAX_BATCH_ROUNDS {
+                return Err(TransportError::Protocol("server stayed overloaded"));
+            }
+            rounds += 1;
+            let mut retry_entries = Vec::new();
+            let mut retry_owners = Vec::new();
+            for (chunk, chunk_owners) in
+                entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
+            {
+                *batch_seq = (*batch_seq + 1) & SEQ_MASK;
+                let replies = exchange_batch(batcher, *batch_seq, chunk)?;
+                if replies.len() != chunk.len() {
+                    return Err(TransportError::Protocol("batch reply count mismatch"));
+                }
+                for ((reply, &owner), &entry) in replies.into_iter().zip(chunk_owners).zip(chunk) {
+                    if reply.session != entry.session {
+                        return Err(TransportError::Protocol("batch reply session mismatch"));
+                    }
+                    if !self.seats[owner].client.complete_update(reply.responses)? {
+                        retry_entries.push(entry);
+                        retry_owners.push(owner);
+                    }
+                }
+            }
+            if !retry_entries.is_empty() {
+                std::thread::yield_now();
+            }
+            entries = retry_entries;
+            owners = retry_owners;
+        }
+        Ok(())
+    }
+}
+
+/// Hard cap on entries per [`Request::Batch`] frame, keeping the worst
+/// case reply frame (a height-5 bitmap install for *every* entry) well
+/// under [`crate::wire::MAX_FRAME_LEN`].
+const MAX_BATCH_ENTRIES: usize = 1024;
+
+/// Overload retry rounds per step before a batched drive gives up.
+const MAX_BATCH_ROUNDS: u32 = 10_000;
+
+/// One batch frame round trip, unwrapped to its reply groups.
+fn exchange_batch(
+    batcher: &mut dyn Transport,
+    seq: u32,
+    updates: &[BatchedUpdate],
+) -> Result<Vec<BatchReply>, TransportError> {
+    let resps = batcher.request(Request::Batch { seq, updates: updates.to_vec() })?;
+    match resps.into_iter().next() {
+        Some(Response::Batch { seq: echoed, replies }) if echoed == seq => Ok(replies),
+        _ => Err(TransportError::Protocol("batch request answered without a batch reply")),
+    }
+}
+
+/// Fisher–Yates under the given RNG (the vendored `rand` has no
+/// `shuffle`; this mirrors `SliceRandom::shuffle`).
+pub fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
+    for i in (1..items.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        items.swap(i, j);
+    }
+}
+
+/// The accuracy gate: `fired` must equal `harness`'s ground truth over
+/// the first `steps` steps exactly. A divergence is rendered as a
+/// [`FlightBundle`] — span trees, trace ring and registry snapshot of
+/// `server` in one document.
+///
+/// # Errors
+///
+/// The rendered bundle, when the firings diverge.
+pub fn ground_truth_gate(
+    harness: &SimulationHarness,
+    steps: u32,
+    fired: &[FiredEvent],
+    server: &Server,
+) -> Result<(), String> {
+    harness.ground_truth().verify_prefix(steps, fired).map_err(|reason| {
+        let mut bundle = FlightBundle::new(reason);
+        bundle.spans = server.spans();
+        bundle.rings.push(("server".to_string(), server.trace_dump()));
+        bundle.snapshots.push(("server".to_string(), server.registry().snapshot()));
+        bundle.render()
+    })
+}
+
+/// Starts the server a [`ReplayConfig`] describes over `harness`'s
+/// world.
+pub(crate) fn start_server(harness: &SimulationHarness, cfg: &ReplayConfig) -> Arc<Server> {
+    let server = Server::start(
+        harness.grid().clone(),
+        harness.index().alarms().to_vec(),
+        harness.v_max(),
+        cfg.server,
+    );
+    server.set_trace_mode(cfg.trace_mode);
+    server
+}
+
+/// Gates a finished replay, captures the server's counters and
+/// registry, and shuts the server down.
+pub(crate) fn conclude(
+    harness: &SimulationHarness,
+    server: &Server,
+    steps: u32,
+    fired: Vec<FiredEvent>,
+    clients: Vec<(SubscriberId, StrategySpec, ClientStats)>,
+) -> ReplayOutcome {
+    let verification = ground_truth_gate(harness, steps, &fired, server);
+    let outcome = ReplayOutcome {
+        fired,
+        verification,
+        clients,
+        server: server.stats(),
+        cache: server.cache_stats(),
+        metrics: server.registry().snapshot(),
+        steps,
+    };
+    server.shutdown();
+    outcome
+}
+
 /// Replays `harness`'s trace through a fresh server, connecting each
-/// client with `connect`. Generic over the transport so the in-proc and
-/// TCP paths share one driver.
+/// client with `connect`, one request per uplink.
 ///
 /// # Errors
 ///
@@ -110,83 +531,11 @@ where
     T: Transport,
     F: FnMut(&Arc<Server>) -> Result<T, TransportError>,
 {
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.strategies.is_empty(), "need at least one strategy to assign");
-
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
-
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.server,
-    );
-    server.set_trace_mode(cfg.trace_mode);
-
-    let mut clients: Vec<Client<T>> = (0..config.fleet.vehicles as u32)
-        .map(|v| {
-            let strategy = cfg.strategies[v as usize % cfg.strategies.len()];
-            let transport = connect(&server)?;
-            Client::connect(transport, SubscriberId(v), strategy, harness.grid().clone(), dt)
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    for step in 0..steps {
-        fleet.step_into(dt, &mut samples);
-        for s in &samples {
-            clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed)?;
-        }
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    for client in &mut clients {
-        per_client.push((client.user(), client.strategy(), client.stats()));
-        fired.extend(client.take_fired());
-    }
-
-    // A firing at step s depends only on samples up to s, so the ground
-    // truth restricted to the replayed prefix is exact.
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    // On a divergence, the failure message is a flight-recorder bundle:
-    // span trees, trace ring and registry snapshot in one document.
-    let verification =
-        GroundTruth::new(expected).verify(&fired).map_err(|e| divergence_bundle(e, &server));
-
-    let outcome = ReplayOutcome {
-        fired,
-        verification,
-        clients: per_client,
-        server: server.stats(),
-        cache: server.cache_stats(),
-        metrics: server.registry().snapshot(),
-        steps,
-    };
-    server.shutdown();
-    Ok(outcome)
-}
-
-/// Renders the single-server divergence flight bundle (see
-/// [`FlightBundle`]).
-fn divergence_bundle(reason: String, server: &Server) -> String {
-    let mut bundle = FlightBundle::new(reason);
-    bundle.spans = server.spans();
-    bundle.rings.push(("server".to_string(), server.trace_dump()));
-    bundle.snapshots.push(("server".to_string(), server.registry().snapshot()));
-    bundle.render()
+    let drive = FleetDrive::new(harness, &cfg.strategies, cfg.steps);
+    let server = start_server(harness, cfg);
+    let vehicles = harness.config().fleet.vehicles as u32;
+    let driven = drive.seat(&server, 0..vehicles, |_| Ok(Link::new(connect(&server)?)))?.run(None)?;
+    Ok(conclude(harness, &server, drive.steps(), driven.fired, driven.clients))
 }
 
 /// [`replay`] over the in-process transport.
@@ -201,21 +550,13 @@ pub fn replay_in_proc(
     replay(harness, cfg, |server| Ok(InProcTransport::connect(Arc::clone(server))))
 }
 
-/// Hard cap on entries per [`Request::Batch`] frame, keeping the worst
-/// case reply frame (a height-5 bitmap install for *every* entry) well
-/// under [`crate::wire::MAX_FRAME_LEN`].
-const MAX_BATCH_ENTRIES: usize = 1024;
-
-/// Overload retry rounds per step before a batch worker gives up.
-const MAX_BATCH_ROUNDS: u32 = 10_000;
-
 /// The multi-worker batched replay: splits the fleet into `workers`
 /// contiguous vehicle-id ranges (the [`Fleet::with_id_range`] sharding —
 /// each shard reproduces exactly its slice of the full trace), drives
 /// each range on its own thread, and submits each worker's step as
 /// [`Request::Batch`] frames over in-proc transport instead of one
 /// request/RTT per vehicle. Firings are still cross-checked against the
-/// simulator's [`GroundTruth`] exactly.
+/// simulator's [`GroundTruth`](sa_sim::GroundTruth) exactly.
 ///
 /// Free-running workers are sound because alarms fire per (subscriber,
 /// alarm): one vehicle's firings never depend on another vehicle's
@@ -236,26 +577,12 @@ pub fn replay_batched_in_proc(
     cfg: &ReplayConfig,
     workers: usize,
 ) -> Result<ReplayOutcome, TransportError> {
-    assert!(
-        harness.moving_alarms().is_none(),
-        "the live wire protocol carries static alarms only"
-    );
-    assert!(!cfg.strategies.is_empty(), "need at least one strategy to assign");
-
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = cfg.steps.unwrap_or(config.steps() as u32).min(config.steps() as u32);
-    let server = Server::start(
-        harness.grid().clone(),
-        harness.index().alarms().to_vec(),
-        harness.v_max(),
-        cfg.server,
-    );
-    server.set_trace_mode(cfg.trace_mode);
+    let drive = FleetDrive::new(harness, &cfg.strategies, cfg.steps);
+    let server = start_server(harness, cfg);
 
     // One contiguous vehicle range per worker, like the simulator's own
     // parallel replay.
-    let vehicles = config.fleet.vehicles as u32;
+    let vehicles = harness.config().fleet.vehicles as u32;
     let workers = (workers.max(1) as u32).min(vehicles.max(1));
     let base = vehicles / workers;
     let extra = vehicles % workers;
@@ -269,152 +596,37 @@ pub fn replay_batched_in_proc(
         }
     }
 
-    let results: Result<Vec<_>, TransportError> = std::thread::scope(|scope| {
+    let in_proc = |_: u32| {
+        let transport = InProcTransport::connect(Arc::clone(&server));
+        Ok(Link { session: transport.session(), transport, chaos: None })
+    };
+    let results: Result<Vec<Driven>, TransportError> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .into_iter()
             .map(|range| {
-                let server = Arc::clone(&server);
-                scope.spawn(move || batch_worker(&server, harness, cfg, range, steps, dt))
+                let (drive, server) = (&drive, &server);
+                scope.spawn(move || {
+                    let seated = drive.seat(server, range, in_proc)?;
+                    let mut batcher = InProcTransport::connect(Arc::clone(server));
+                    seated.run(Some((1, &mut batcher)))
+                })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
     });
-    let results = results?;
 
     let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    for (worker_fired, worker_clients) in results {
-        fired.extend(worker_fired);
-        per_client.extend(worker_clients);
+    let mut clients = Vec::new();
+    for driven in results? {
+        fired.extend(driven.fired);
+        clients.extend(driven.clients);
     }
-
-    let expected: Vec<FiredEvent> = harness
-        .ground_truth()
-        .events()
-        .iter()
-        .filter(|e| e.step < steps)
-        .cloned()
-        .collect();
-    let verification =
-        GroundTruth::new(expected).verify(&fired).map_err(|e| divergence_bundle(e, &server));
-
-    let outcome = ReplayOutcome {
-        fired,
-        verification,
-        clients: per_client,
-        server: server.stats(),
-        cache: server.cache_stats(),
-        metrics: server.registry().snapshot(),
-        steps,
-    };
-    server.shutdown();
-    Ok(outcome)
+    Ok(conclude(harness, &server, drive.steps(), fired, clients))
 }
 
-/// One worker of [`replay_batched_in_proc`]: drives the vehicles of
-/// `range` over its own driver connection, one batch exchange per step
-/// (chunked at [`MAX_BATCH_ENTRIES`]).
-fn batch_worker(
-    server: &Arc<Server>,
-    harness: &SimulationHarness,
-    cfg: &ReplayConfig,
-    range: std::ops::Range<u32>,
-    steps: u32,
-    dt: f64,
-) -> Result<WorkerOutcome, TransportError> {
-    let mut sessions = Vec::with_capacity(range.len());
-    let mut clients: Vec<Client<InProcTransport>> = range
-        .clone()
-        .map(|v| {
-            let strategy = cfg.strategies[v as usize % cfg.strategies.len()];
-            let transport = InProcTransport::connect(Arc::clone(server));
-            sessions.push(transport.session());
-            Client::connect(transport, SubscriberId(v), strategy, harness.grid().clone(), dt)
-        })
-        .collect::<Result<_, _>>()?;
-    let mut driver = InProcTransport::connect(Arc::clone(server));
-    let mut fleet = Fleet::with_id_range(harness.network(), &harness.config().fleet, range.clone());
-    let mut samples = Vec::new();
-    let mut batch_seq = 0u32;
-
-    for step in 0..steps {
-        fleet.step_into(dt, &mut samples);
-        let mut entries: Vec<BatchedUpdate> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
-        for s in &samples {
-            let local = (s.vehicle.0 - range.start) as usize;
-            if let Some(entry) =
-                clients[local].poll_update(sessions[local], step, s.pos, s.heading, s.speed)?
-            {
-                entries.push(entry);
-                owners.push(local);
-            }
-        }
-        // Exchange (and re-exchange overloaded entries) until the step
-        // is fully absorbed — every client must complete step `step`
-        // before any polls `step + 1`.
-        let mut rounds = 0u32;
-        while !entries.is_empty() {
-            if rounds >= MAX_BATCH_ROUNDS {
-                return Err(TransportError::Protocol("server stayed overloaded"));
-            }
-            rounds += 1;
-            let mut retry_entries = Vec::new();
-            let mut retry_owners = Vec::new();
-            for (chunk, chunk_owners) in
-                entries.chunks(MAX_BATCH_ENTRIES).zip(owners.chunks(MAX_BATCH_ENTRIES))
-            {
-                batch_seq = (batch_seq + 1) & SEQ_MASK;
-                let replies = exchange_batch(&mut driver, batch_seq, chunk)?;
-                if replies.len() != chunk.len() {
-                    return Err(TransportError::Protocol("batch reply count mismatch"));
-                }
-                for ((reply, &owner), &entry) in
-                    replies.into_iter().zip(chunk_owners).zip(chunk)
-                {
-                    if reply.session != entry.session {
-                        return Err(TransportError::Protocol("batch reply session mismatch"));
-                    }
-                    if !clients[owner].complete_update(reply.responses)? {
-                        retry_entries.push(entry);
-                        retry_owners.push(owner);
-                    }
-                }
-            }
-            if !retry_entries.is_empty() {
-                std::thread::yield_now();
-            }
-            entries = retry_entries;
-            owners = retry_owners;
-        }
-    }
-
-    let mut fired = Vec::new();
-    let mut per_client = Vec::new();
-    for client in &mut clients {
-        per_client.push((client.user(), client.strategy(), client.stats()));
-        fired.extend(client.take_fired());
-    }
-    Ok((fired, per_client))
-}
-
-type WorkerOutcome = (Vec<FiredEvent>, Vec<(SubscriberId, StrategySpec, ClientStats)>);
-
-/// One batch frame round trip, unwrapped to its reply groups.
-fn exchange_batch(
-    driver: &mut InProcTransport,
-    seq: u32,
-    updates: &[BatchedUpdate],
-) -> Result<Vec<BatchReply>, TransportError> {
-    let resps = driver.request(Request::Batch { seq, updates: updates.to_vec() })?;
-    match resps.into_iter().next() {
-        Some(Response::Batch { seq: echoed, replies }) if echoed == seq => Ok(replies),
-        _ => Err(TransportError::Protocol("batch request answered without a batch reply")),
-    }
-}
-
-/// [`replay`] over loopback TCP: starts an accept loop, gives every
-/// client its own connection, and tears the listener down afterwards.
+/// [`replay`] over loopback TCP: serves the server through a
+/// [`Reactor`], gives every client its own connection, and tears the
+/// reactor down afterwards.
 ///
 /// # Errors
 ///
@@ -423,18 +635,21 @@ pub fn replay_tcp(
     harness: &SimulationHarness,
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, TransportError> {
-    let mut handle: Option<TcpServerHandle> = None;
-    let outcome = replay(harness, cfg, |server| {
-        if handle.is_none() {
-            handle = Some(TcpServerHandle::serve(Arc::clone(server))?);
+    let mut reactor: Option<Reactor> = None;
+    replay(harness, cfg, |server| {
+        if reactor.is_none() {
+            reactor = Some(Reactor::bind(Arc::clone(server), replay_reactor_config())?);
         }
-        let addr = handle.as_ref().expect("listener just started").addr();
+        let addr = reactor.as_ref().expect("reactor just bound").addr();
         Ok(TcpTransport::connect(addr)?)
-    });
-    if let Some(mut h) = handle {
-        h.shutdown();
-    }
-    outcome
+    })
+}
+
+/// The reactor shape for replays: a safe region exists to keep its
+/// client silent, so a replayed connection may idle for as long as the
+/// replay runs and must not be reaped for it.
+fn replay_reactor_config() -> ReactorConfig {
+    ReactorConfig { idle_timeout: Duration::from_secs(3600), ..ReactorConfig::default() }
 }
 
 #[cfg(test)]

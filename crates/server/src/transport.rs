@@ -1,10 +1,12 @@
-//! Two transports behind one trait.
+//! The client side of the wire: one trait, three transports.
 //!
 //! [`InProcTransport`] calls the server directly but still round-trips
 //! every message through the wire codec, so in-process tests exercise
 //! exactly the bytes a socket would carry. [`TcpTransport`] speaks
-//! length-prefixed frames over a loopback [`std::net::TcpStream`] to a
-//! [`TcpServerHandle`] accept loop.
+//! length-prefixed frames over a blocking [`std::net::TcpStream`] to
+//! the server's one TCP front end, the [`crate::reactor::Reactor`];
+//! [`ReconnectingTcpTransport`] does the same but re-dials and replays
+//! its `Hello` after a server restart.
 //!
 //! A request's response sequence is zero or more
 //! [`Response::TriggerDelivery`] frames followed by exactly one terminal
@@ -12,12 +14,10 @@
 //! the whole sequence.
 
 use crate::server::Server;
-use crate::wire::{frame, read_frame, write_frame, Request, Response, WireError};
+use crate::wire::{frame, read_frame, Request, Response, WireError};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Failure while exchanging one request.
 #[derive(Debug)]
@@ -152,103 +152,13 @@ impl Transport for InProcTransport {
     }
 }
 
-/// A running TCP accept loop serving one [`Server`] on loopback.
-pub struct TcpServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpServerHandle {
-    /// Binds `127.0.0.1:0` and starts accepting connections; each
-    /// connection gets its own session and handler thread.
-    pub fn serve(server: Arc<Server>) -> std::io::Result<TcpServerHandle> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("sa-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let server = Arc::clone(&server);
-                    // Detached on purpose: a connection thread lives
-                    // exactly as long as its client keeps the socket
-                    // open, and joining it here would deadlock a
-                    // shutdown racing a still-connected client.
-                    std::thread::Builder::new()
-                        .name("sa-conn".into())
-                        .spawn(move || serve_connection(server, stream))
-                        .expect("spawn connection thread");
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(TcpServerHandle { addr, stop, accept_thread: Some(accept_thread) })
-    }
-
-    /// The bound loopback address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the accept loop. Connections already
-    /// open finish when their client disconnects.
-    pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for TcpServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Per-connection loop: one session, frames in, frames out, until the
-/// client disconnects or a frame fails to parse.
-fn serve_connection(server: Arc<Server>, mut stream: TcpStream) {
-    let session = server.open_session();
-    stream.set_nodelay(true).ok();
-    let clock = Arc::clone(server.clock());
-    while let Ok(Some(body)) = read_frame(&mut stream) {
-        let decode_started_ns = clock.now_ns();
-        let decoded = Request::decode(&body);
-        server.metrics().wire_decode.record_duration(clock.elapsed_since(decode_started_ns));
-        let Ok(req) = decoded else { break };
-        let mut failed = false;
-        for resp in server.handle(session, req) {
-            let encode_started_ns = clock.now_ns();
-            let bytes = resp.encode();
-            server.metrics().wire_encode.record_duration(clock.elapsed_since(encode_started_ns));
-            if write_frame(&mut stream, &bytes).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if failed || stream.flush().is_err() {
-            break;
-        }
-    }
-}
-
 /// Loopback TCP client endpoint.
 pub struct TcpTransport {
     stream: TcpStream,
 }
 
 impl TcpTransport {
-    /// Connects to a [`TcpServerHandle`]'s address.
+    /// Connects to a [`crate::reactor::Reactor`]'s address.
     pub fn connect(addr: SocketAddr) -> std::io::Result<TcpTransport> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -397,8 +307,9 @@ impl Transport for ReconnectingTcpTransport {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use crate::wire::StrategySpec;
+    use crate::wire::{write_frame, StrategySpec};
     use sa_geometry::{Grid, Rect};
+    use std::net::TcpListener;
 
     fn tiny_server() -> Arc<Server> {
         let universe = Rect::new(0.0, 0.0, 3_000.0, 3_000.0).unwrap();
@@ -418,22 +329,6 @@ mod tests {
         assert_eq!(resp, vec![Response::Ack { seq: 1 }]);
         let resp = t.request(Request::Bye { seq: 2 }).unwrap();
         assert_eq!(resp, vec![Response::Ack { seq: 2 }]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn tcp_serves_frames_on_loopback() {
-        let server = tiny_server();
-        let mut handle = TcpServerHandle::serve(Arc::clone(&server)).unwrap();
-        let mut a = TcpTransport::connect(handle.addr()).unwrap();
-        let mut b = TcpTransport::connect(handle.addr()).unwrap();
-        assert_eq!(a.request(hello(1)).unwrap(), vec![Response::Ack { seq: 1 }]);
-        assert_eq!(b.request(hello(9)).unwrap(), vec![Response::Ack { seq: 9 }]);
-        // Sessions are per-connection: both clients said Hello for user 7
-        // but on distinct sessions, so each Bye only tears down its own.
-        assert_eq!(a.request(Request::Bye { seq: 2 }).unwrap(), vec![Response::Ack { seq: 2 }]);
-        assert_eq!(b.request(Request::Bye { seq: 10 }).unwrap(), vec![Response::Ack { seq: 10 }]);
-        handle.shutdown();
         server.shutdown();
     }
 

@@ -21,7 +21,7 @@ fn smoke() -> SimulationHarness {
 }
 
 fn chaos_cfg(plan: FaultPlan) -> ChaosConfig {
-    ChaosConfig { replay: ReplayConfig::default(), plan, policy: None }
+    ChaosConfig { replay: ReplayConfig::default(), plan }
 }
 
 /// The PR's acceptance gate: ≥10% drops on both legs plus one
@@ -98,7 +98,6 @@ fn chaos_replays_are_reproducible() {
     let cfg = ChaosConfig {
         replay: ReplayConfig { steps: Some(120), ..ReplayConfig::default() },
         plan: FaultPlan::lossy(1234),
-        policy: None,
     };
     let a = chaos_replay_in_proc(&harness, &cfg).expect("no fatal");
     let b = chaos_replay_in_proc(&harness, &cfg).expect("no fatal");

@@ -17,7 +17,7 @@ use sa_server::{
     Client, FaultLeg, FaultPlan, FaultyTransport, Reactor, ReactorConfig, ResiliencePolicy,
     Server, ServerConfig, StrategySpec, TcpTransport,
 };
-use sa_sim::{FiredEvent, GroundTruth, SimulationConfig, SimulationHarness};
+use sa_sim::{SimulationConfig, SimulationHarness};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -123,20 +123,14 @@ fn truth_round(
         fired.extend(client.take_fired());
     }
 
-    let expected: Vec<FiredEvent> = if round == 0 {
-        harness
-            .ground_truth()
-            .events()
-            .iter()
-            .filter(|e| e.step < ROUND_STEPS)
-            .cloned()
-            .collect()
-    } else {
-        // Everything already fired in round 0; the server-lifetime
-        // fired set must suppress every re-delivery.
-        Vec::new()
-    };
-    GroundTruth::new(expected).verify(&fired).map_err(|e| format!("round {round}: {e}"))
+    // Everything fires in round 0; afterwards the server-lifetime fired
+    // set must suppress every re-delivery, so the expected prefix is
+    // empty.
+    let prefix = if round == 0 { ROUND_STEPS } else { 0 };
+    harness
+        .ground_truth()
+        .verify_prefix(prefix, &fired)
+        .map_err(|e| format!("round {round}: {e}"))
 }
 
 /// One churn wave: open [`WAVE_CONNS`] raw sockets, report the peak

@@ -1,13 +1,14 @@
-//! Wire-level observability acceptance: after replaying a prefix of the
-//! smoke-test trace against a live TCP server, a `Request::Stats` scrape
-//! over a *fresh* loopback connection must return a Prometheus text
-//! snapshot with a nonzero location-update count and per-algorithm
-//! safe-region-computation histograms.
+//! Wire-level observability acceptance: after the fleet driver replays
+//! a prefix of the smoke-test trace over the reactor, a
+//! `Request::Stats` scrape over a *fresh* loopback connection must
+//! return a Prometheus text snapshot with a nonzero location-update
+//! count and per-algorithm safe-region-computation histograms.
 
-use sa_alarms::SubscriberId;
-use sa_roadnet::Fleet;
 use sa_server::wire::{Request, Response, StrategySpec};
-use sa_server::{Client, Server, ServerConfig, TcpServerHandle, TcpTransport, Transport};
+use sa_server::{
+    ground_truth_gate, FleetDrive, Link, Reactor, ReactorConfig, Server, ServerConfig,
+    TcpTransport, Transport,
+};
 use sa_sim::{SimulationConfig, SimulationHarness};
 use std::sync::Arc;
 
@@ -22,17 +23,14 @@ fn sample_value(text: &str, name: &str) -> Option<f64> {
 #[test]
 fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
     let harness = SimulationHarness::build(&SimulationConfig::smoke_test());
-    let config = harness.config();
-    let dt = config.sample_period_s;
-    let steps = 120u32.min(config.steps() as u32);
-
     let server = Server::start(
         harness.grid().clone(),
         harness.index().alarms().to_vec(),
         harness.v_max(),
         ServerConfig { num_shards: 3, queue_capacity: 32 },
     );
-    let mut handle = TcpServerHandle::serve(Arc::clone(&server)).unwrap();
+    let mut reactor = Reactor::bind(Arc::clone(&server), ReactorConfig::default()).unwrap();
+    let addr = reactor.addr();
 
     // All four strategies round-robin, so every per-algorithm histogram
     // sees traffic.
@@ -42,32 +40,18 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
         StrategySpec::Opt,
         StrategySpec::SafePeriod,
     ];
-    let mut clients: Vec<Client<TcpTransport>> = (0..config.fleet.vehicles as u32)
-        .map(|v| {
-            let transport = TcpTransport::connect(handle.addr()).unwrap();
-            Client::connect(
-                transport,
-                SubscriberId(v),
-                strategies[v as usize % strategies.len()],
-                harness.grid().clone(),
-                dt,
-            )
-            .unwrap()
-        })
-        .collect();
-
-    let mut fleet = Fleet::new(harness.network(), &config.fleet);
-    let mut samples = Vec::new();
-    for step in 0..steps {
-        fleet.step_into(dt, &mut samples);
-        for s in &samples {
-            clients[s.vehicle.0 as usize].observe(step, s.pos, s.heading, s.speed).unwrap();
-        }
-    }
+    let drive = FleetDrive::new(&harness, &strategies, Some(120));
+    let vehicles = harness.config().fleet.vehicles as u32;
+    let driven = drive
+        .seat(&server, 0..vehicles, |_| Ok(Link::new(TcpTransport::connect(addr)?)))
+        .unwrap()
+        .run(None)
+        .unwrap();
+    ground_truth_gate(&harness, drive.steps(), &driven.fired, &server).unwrap();
 
     // Scrape over a connection that carried no other traffic — the
     // metrics are server-global, not per-session.
-    let mut scraper = TcpTransport::connect(handle.addr()).unwrap();
+    let mut scraper = TcpTransport::connect(addr).unwrap();
     let resps = scraper.request(Request::Stats { seq: 77 }).unwrap();
     let [Response::Stats { seq: 77, text }] = resps.as_slice() else {
         panic!("expected one stats reply, got {resps:?}");
@@ -88,7 +72,6 @@ fn live_tcp_scrape_reports_updates_and_per_algorithm_histograms() {
     assert!(sample_value(text, "sa_wire_decode_ns_count").unwrap_or(0.0) > 0.0);
     assert_eq!(sample_value(text, "sa_server_location_updates_total"), Some(updates));
 
-    drop(clients);
-    handle.shutdown();
+    reactor.shutdown();
     server.shutdown();
 }

@@ -1,7 +1,6 @@
 use sa_alarms::WorkloadConfig;
 use sa_geometry::Rect;
 use sa_roadnet::{FleetConfig, NetworkConfig};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of one simulated evaluation run.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// (10% public, private:shared 2:1) and a 2.5 km² grid cell. Use
 /// [`SimulationConfig::scaled`] for laptop-sized runs — all workload
 /// dimensions shrink together, leaving the comparative shapes intact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Road-network generation parameters.
     pub network: NetworkConfig,

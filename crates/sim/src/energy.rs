@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Client energy model (paper Figures 5(b), 6(c)).
 ///
 /// The paper omits its energy formulas "due to space constraints" but
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// The default constants are calibrated so a paper-scale run (10,000
 /// clients × 1 h at 1 Hz) lands in the magnitude range of Figure 5(b)
 /// (hundreds to ~1,400 mWh system-wide).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Fixed cost of waking up for one containment detection, mWh.
     pub check_base_mwh: f64,

@@ -1,11 +1,10 @@
 use sa_alarms::{AlarmId, SubscriberId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One ground-truth (or strategy-observed) alarm firing: subscriber
 /// `subscriber` first satisfied alarm `alarm`'s spatial condition at
 /// simulation step `step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiredEvent {
     /// The subscriber the alarm fired for.
     pub subscriber: SubscriberId,
@@ -20,7 +19,7 @@ pub struct FiredEvent {
 /// determined by a very high frequency trace of the motion pattern of the
 /// vehicles" (§5). Every strategy run is compared against it — set *and*
 /// timing must match for the run to count as 100% accurate.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GroundTruth {
     events: Vec<FiredEvent>,
 }
@@ -45,6 +44,19 @@ impl GroundTruth {
     /// True when no alarm ever fires in the reference trace.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// [`GroundTruth::verify`] against the reference restricted to the
+    /// first `steps` steps. A firing at step `s` depends only on samples
+    /// up to `s`, so the restricted reference is exact for a run that
+    /// stopped after `steps` steps.
+    ///
+    /// # Errors
+    ///
+    /// The discrepancy description, as for [`GroundTruth::verify`].
+    pub fn verify_prefix(&self, steps: u32, observed: &[FiredEvent]) -> Result<(), String> {
+        let events = self.events.iter().filter(|e| e.step < steps).copied().collect();
+        GroundTruth { events }.verify(observed)
     }
 
     /// Compares a strategy's observed firings against the reference.
@@ -106,6 +118,14 @@ mod tests {
         let gt = GroundTruth::new(vec![ev(1, 10, 5), ev(2, 11, 7)]);
         // Order of observation must not matter.
         assert!(gt.verify(&[ev(2, 11, 7), ev(1, 10, 5)]).is_ok());
+    }
+
+    #[test]
+    fn prefix_verification_ignores_later_firings() {
+        let gt = GroundTruth::new(vec![ev(1, 10, 5), ev(2, 11, 7)]);
+        assert!(gt.verify_prefix(6, &[ev(1, 10, 5)]).is_ok());
+        assert!(gt.verify_prefix(8, &[ev(1, 10, 5)]).unwrap_err().contains("MISSED"));
+        assert!(gt.verify_prefix(6, &[ev(1, 10, 5), ev(2, 11, 7)]).is_err());
     }
 
     #[test]

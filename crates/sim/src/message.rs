@@ -37,15 +37,15 @@ mod tests {
     fn uplink_messages_are_small() {
         // Uplink messages must be payload-light; the evaluation counts them
         // rather than weighing them.
-        assert!(LOCATION_UPDATE_BITS <= 256);
-        assert!(TRIGGER_NOTIFY_BITS <= LOCATION_UPDATE_BITS);
+        const { assert!(LOCATION_UPDATE_BITS <= 256) };
+        const { assert!(TRIGGER_NOTIFY_BITS <= LOCATION_UPDATE_BITS) };
     }
 
     #[test]
     fn downlink_sizes_reflect_content() {
         // An OPT alarm push carries a full rectangle and dwarfs a
         // safe-period grant.
-        assert!(ALARM_PUSH_BITS > SAFE_PERIOD_BITS);
+        const { assert!(ALARM_PUSH_BITS > SAFE_PERIOD_BITS) };
         assert_eq!(ALARM_PUSH_BITS, 32 + 4 * 32);
     }
 }

@@ -1,10 +1,9 @@
 use crate::{EnergyModel, ServerCostModel};
-use serde::{Deserialize, Serialize};
 
 /// Operation counters for the two server cost centres the paper separates
 /// in Figures 4(b) and 6(d): *alarm processing* (trigger checks against the
 /// R*-tree) and *safe region computation*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerOps {
     /// R*-tree nodes visited by trigger-check (point) queries.
     pub alarm_query_nodes: u64,
@@ -43,7 +42,7 @@ impl ServerOps {
 
 /// Aggregate counters for one strategy run — the raw material for every
 /// figure of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Metrics {
     /// Client → server messages (Figures 4(a), 5(a), 6(a)).
     pub uplink_messages: u64,

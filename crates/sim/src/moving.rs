@@ -228,6 +228,53 @@ impl<'a> MovingCoordinator<'a> {
     }
 }
 
+/// Wraps any static-alarm strategy with moving-target coordination: the
+/// subscriber additionally reports whenever its moving-alarm silent window
+/// expires, independent of the inner strategy's own safe-region logic.
+pub struct MovingAwareStrategy<'a> {
+    inner: Box<dyn crate::strategy::Strategy>,
+    coordinator: MovingCoordinator<'a>,
+    deadlines: HashMap<SubscriberId, u32>,
+}
+
+impl<'a> MovingAwareStrategy<'a> {
+    /// Wraps `inner` with coordination against `table`.
+    pub fn new(
+        inner: Box<dyn crate::strategy::Strategy>,
+        table: &'a MovingAlarmTable,
+        v_max: f64,
+    ) -> MovingAwareStrategy<'a> {
+        MovingAwareStrategy {
+            inner,
+            coordinator: MovingCoordinator::new(table, v_max),
+            deadlines: HashMap::new(),
+        }
+    }
+}
+
+impl crate::strategy::Strategy for MovingAwareStrategy<'_> {
+    fn on_sample(
+        &mut self,
+        step: u32,
+        sample: &sa_roadnet::TraceSample,
+        server: &mut ServerCtx<'_>,
+    ) {
+        let user = SubscriberId(sample.vehicle.0);
+        let due = self.deadlines.get(&user).is_none_or(|&d| step >= d);
+        if due {
+            // Moving-alarm report: one uplink, then a fresh grant.
+            server.metrics.uplink_messages += 1;
+            let grant = self.coordinator.service(step, user, sample.pos, server);
+            self.deadlines.insert(user, step.saturating_add(grant));
+        }
+        self.inner.on_sample(step, sample, server);
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,52 +376,5 @@ mod tests {
         // The poll was paid for.
         assert!(server.metrics.uplink_messages >= 1);
         assert!(server.metrics.downlink_messages >= 1);
-    }
-}
-
-/// Wraps any static-alarm strategy with moving-target coordination: the
-/// subscriber additionally reports whenever its moving-alarm silent window
-/// expires, independent of the inner strategy's own safe-region logic.
-pub struct MovingAwareStrategy<'a> {
-    inner: Box<dyn crate::strategy::Strategy>,
-    coordinator: MovingCoordinator<'a>,
-    deadlines: HashMap<SubscriberId, u32>,
-}
-
-impl<'a> MovingAwareStrategy<'a> {
-    /// Wraps `inner` with coordination against `table`.
-    pub fn new(
-        inner: Box<dyn crate::strategy::Strategy>,
-        table: &'a MovingAlarmTable,
-        v_max: f64,
-    ) -> MovingAwareStrategy<'a> {
-        MovingAwareStrategy {
-            inner,
-            coordinator: MovingCoordinator::new(table, v_max),
-            deadlines: HashMap::new(),
-        }
-    }
-}
-
-impl crate::strategy::Strategy for MovingAwareStrategy<'_> {
-    fn on_sample(
-        &mut self,
-        step: u32,
-        sample: &sa_roadnet::TraceSample,
-        server: &mut ServerCtx<'_>,
-    ) {
-        let user = SubscriberId(sample.vehicle.0);
-        let due = self.deadlines.get(&user).is_none_or(|&d| step >= d);
-        if due {
-            // Moving-alarm report: one uplink, then a fresh grant.
-            server.metrics.uplink_messages += 1;
-            let grant = self.coordinator.service(step, user, sample.pos, server);
-            self.deadlines.insert(user, step.saturating_add(grant));
-        }
-        self.inner.on_sample(step, sample, server);
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 }

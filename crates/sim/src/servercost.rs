@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Server processing-time model (paper Figures 4(b), 6(d)).
 ///
 /// The paper reports wall-clock minutes on its testbed; we substitute a
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// strategy — the properties the figures argue about — are preserved
 /// exactly; the absolute scale is calibrated to land in the figures'
 /// 0–15 minute range at paper scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCostModel {
     /// Cost of visiting one R*-tree node, µs.
     pub node_visit_us: f64,

@@ -19,7 +19,6 @@ use crate::ServerCtx;
 use sa_core::{MwpsrComputer, PyramidComputer, PyramidConfig};
 use sa_geometry::MotionPdf;
 use sa_roadnet::TraceSample;
-use serde::{Deserialize, Serialize};
 
 /// A processing strategy: decides, per location sample, what the client
 /// does locally and what reaches the server.
@@ -35,7 +34,7 @@ pub trait Strategy {
 }
 
 /// Strategy selection for [`crate::SimulationHarness::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyKind {
     /// PRD: the client reports every sample; the server evaluates each
     /// report against the alarm index.
