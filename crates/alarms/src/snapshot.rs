@@ -180,9 +180,19 @@ impl AlarmSnapshot {
         (hits, stats)
     }
 
+    /// Number of alarms installed since the base was last rebuilt.
+    pub fn delta_len(&self) -> usize {
+        self.delta.len()
+    }
+
+    /// Number of alarms deactivated since the base was last rebuilt.
+    pub fn dead_len(&self) -> usize {
+        self.dead.len()
+    }
+
     /// Visits each alarm relevant to `user` containing `pos` without
-    /// materializing a vector — the allocation-free trigger check the
-    /// shard workers run per position update.
+    /// materializing a vector (closed containment, like
+    /// [`AlarmSnapshot::relevant_at`]).
     pub fn relevant_at_visit(
         &self,
         user: SubscriberId,
@@ -199,6 +209,18 @@ impl AlarmSnapshot {
                 f(a);
             }
         }
+    }
+
+    /// Visits the id of every live alarm relevant to `user` that
+    /// *triggers* at `pos` (strict interior containment, see
+    /// [`SpatialAlarm::triggers_at`]) without allocating — the trigger
+    /// check the shard workers run per position update.
+    pub fn for_each_triggering(&self, user: SubscriberId, pos: Point, mut f: impl FnMut(AlarmId)) {
+        self.relevant_at_visit(user, pos, |a| {
+            if a.triggers_at(pos) {
+                f(a.id());
+            }
+        });
     }
 
     /// Alarms relevant to `user` intersecting `area` — safe-region scoping.
@@ -454,6 +476,41 @@ mod tests {
         let mut v: Vec<u64> = hits.iter().map(|a| a.id().0).collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn for_each_triggering_is_strict_relevant_live_and_sees_the_delta() {
+        // Base: public 0 and private 1 (owner 7) around (100, 100), public
+        // 2 around (500, 100), which is then deactivated. Delta: public 3
+        // around (900, 100).
+        let v = VersionedAlarmIndex::new(vec![
+            public(0, 100.0, 100.0),
+            private(1, 7, 100.0, 100.0),
+            public(2, 500.0, 100.0),
+        ])
+        .unwrap();
+        v.try_install(public(3, 900.0, 100.0)).unwrap();
+        assert!(v.deactivate(AlarmId(2)));
+        let snap = v.snapshot();
+        let hits = |user: u32, x: f64, y: f64| {
+            let mut ids = Vec::new();
+            snap.for_each_triggering(SubscriberId(user), Point::new(x, y), |id| ids.push(id.0));
+            ids.sort_unstable();
+            ids
+        };
+        // Private relevance: only the owner sees alarm 1.
+        assert_eq!(hits(7, 100.0, 100.0), vec![0, 1]);
+        assert_eq!(hits(9, 100.0, 100.0), vec![0]);
+        // Strict boundary: each region's edges lie 100 m from its
+        // centre; an edge point is contained but does not trigger.
+        assert!(snap.alarm(AlarmId(0)).contains(Point::new(200.0, 100.0)));
+        assert!(hits(7, 200.0, 100.0).is_empty());
+        assert_eq!(hits(7, 199.0, 100.0), vec![0, 1]);
+        // A dead base alarm never triggers; a live delta alarm does, and
+        // its boundary is strict too.
+        assert!(hits(9, 500.0, 100.0).is_empty());
+        assert_eq!(hits(9, 900.0, 100.0), vec![3]);
+        assert!(hits(9, 1_000.0, 100.0).is_empty());
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Where `sa-sim` *models* the client–server message exchange of
 //! Bamba et al.'s safe-region strategies with abstract bit accounting,
 //! this crate *runs* it: a real binary wire protocol ([`wire`]), a
-//! server whose alarm state is sharded across worker threads by grid
-//! cell ([`server`], [`shard`]), an epoch-versioned cache of public
-//! safe-region bitmaps ([`cache`]), two interchangeable transports —
-//! in-process and loopback TCP ([`transport`]) — and client-side
-//! strategy mirrors plus a trace replay driver that cross-checks every
-//! firing against the simulator's ground truth ([`client`], [`mod@replay`]).
+//! server whose location updates are sharded across worker threads by
+//! grid cell over one shared alarm index ([`server`], [`shard`]), an
+//! epoch-versioned cache of public safe-region bitmaps ([`cache`]), two
+//! interchangeable transports — in-process and loopback TCP
+//! ([`transport`]) — and client-side strategy mirrors plus a trace
+//! replay driver that cross-checks every firing against the simulator's
+//! ground truth ([`client`], [`mod@replay`]).
 //!
 //! Every layer is instrumented through `sa-obs`: one registry per server
 //! holds the cache/shard/router counters, queue-depth gauges, and
@@ -41,9 +42,9 @@
 //!            + retry → degraded → resync → steady resilience machine
 //! transport ─ InProc | Tcp client ends, both framing through the codec
 //! reactor ── the TCP front end: nonblocking sockets, many per worker
-//! server  ── router + sessions; LocationUpdate → bounded shard queues
-//! shard   ── VersionedShardIndex (global↔local alarm ids, epoch-
-//!            versioned snapshots) + ShardPool workers
+//! server  ── router + sessions + the one VersionedAlarmIndex;
+//!            LocationUpdate → bounded shard queues
+//! shard   ── cell → shard routing + ShardPool workers
 //! cache   ── (cell, height) → public bitmap, epoch-invalidated
 //! wire    ── Request/Response codec, sizes == sa-sim payload constants
 //! ```
@@ -80,7 +81,7 @@ pub use replay::{
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};
-pub use shard::{shard_of_index, ShardIndex, ShardPool, ShardSnapshot, VersionedShardIndex};
+pub use shard::{shard_of_index, ShardPool};
 pub use transport::{
     InProcTransport, ReconnectingTcpTransport, TcpTransport, Transport, TransportError,
 };

@@ -19,10 +19,7 @@
 use crate::arena::ReplyPool;
 use crate::cache::{CacheStats, RegionCache};
 use crate::clock::{SharedClock, SystemClock};
-use crate::shard::{
-    shard_of_index, Job, JobPayload, ShardPool, ShardSnapshot, ShardUpdate, SubmitError,
-    VersionedShardIndex,
-};
+use crate::shard::{shard_of_index, Job, JobPayload, ShardPool, ShardUpdate, SubmitError};
 use crate::wire::{
     dequantize_m, quantize_m, unpack_motion, BatchReply, BatchedUpdate, CellRange, Request,
     Response, SessionState, StrategySpec, TraceCtxExt, SEQ_MASK,
@@ -35,8 +32,8 @@ use sa_alarms::{
 use sa_core::{BitVec, MwpsrComputer, PyramidComputer, PyramidConfig};
 use sa_geometry::{CellId, Grid, Point, Rect};
 use sa_obs::{
-    client_root_span, dispatch_span, trace_id_for, Counter, Exemplars, Histogram, Registry, Span,
-    SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode, TraceRing,
+    client_root_span, dispatch_span, trace_id_for, Counter, Exemplars, Gauge, Histogram, Registry,
+    Span, SpanKind, SpanRecorder, TimeSource, TraceCtx, TraceMode, TraceRing,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -48,13 +45,11 @@ thread_local! {
     /// across updates so the steady-state case (no triggering alarms)
     /// never touches the heap.
     static TRIGGER_SCRATCH: RefCell<Vec<AlarmId>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread pinned generation of the worker's shard index. While no
-    /// install/deactivate has published, a refresh is one atomic epoch
-    /// load — no lock, no allocation.
-    static SHARD_SNAP: RefCell<SnapshotCache<ShardSnapshot>> =
-        const { RefCell::new(SnapshotCache::new()) };
-    /// Per-thread pinned generation of the global alarm index (the
-    /// safe-period nearest-distance path).
+    /// Per-thread pinned generation of the alarm index, read by every
+    /// worker query (trigger check, region obstacles, OPT push,
+    /// safe-period nearest distance). While no install/deactivate has
+    /// published, a refresh is one atomic epoch load — no lock, no
+    /// allocation.
     static GLOBAL_SNAP: RefCell<SnapshotCache<AlarmSnapshot>> =
         const { RefCell::new(SnapshotCache::new()) };
 }
@@ -237,6 +232,10 @@ pub(crate) struct ServerMetrics {
     pub(crate) wire_encode: Histogram,
     /// Server-side request decoding (used by the transports).
     pub(crate) wire_decode: Histogram,
+    /// Alarms installed since the index base was last rebuilt.
+    index_delta: Gauge,
+    /// Alarms deactivated since the index base was last rebuilt.
+    index_dead: Gauge,
     /// Safe-region computation latency, labelled per algorithm.
     mwpsr: Histogram,
     pbsr: Histogram,
@@ -263,6 +262,8 @@ impl ServerMetrics {
             cache_lookup: registry.histogram("sa_cache_lookup_ns"),
             wire_encode: registry.histogram("sa_wire_encode_ns"),
             wire_decode: registry.histogram("sa_wire_decode_ns"),
+            index_delta: registry.gauge("sa_alarm_index_delta"),
+            index_dead: registry.gauge("sa_alarm_index_dead"),
             mwpsr: compute("mwpsr"),
             pbsr: compute("pbsr"),
             opt: compute("opt"),
@@ -286,13 +287,10 @@ struct Core {
     grid: Grid,
     v_max: f64,
     num_shards: usize,
-    /// Global index (dense ids) — safe-period nearest-distance queries
-    /// must see every alarm, wherever it lives. Epoch-versioned: readers
-    /// pin snapshots, installs publish new generations.
+    /// The server's one alarm index (dense ids), shared by every shard
+    /// worker. Epoch-versioned: readers pin snapshots, each install or
+    /// remove publishes one new generation.
     global_index: VersionedAlarmIndex,
-    /// Shard-local indexes over the alarms intersecting each shard's
-    /// cells, each epoch-versioned like the global index.
-    shard_indexes: Vec<VersionedShardIndex>,
     /// (subscriber, alarm) pairs that already fired — alarms fire once.
     fired: RwLock<HashSet<(SubscriberId, AlarmId)>>,
     sessions: SessionTable,
@@ -355,7 +353,7 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Builds the shard indexes from `alarms` and spawns the worker
+    /// Builds the alarm index from `alarms` and spawns the worker
     /// threads.
     ///
     /// # Panics
@@ -392,20 +390,6 @@ impl Server {
         assert!(v_max > 0.0, "maximum speed must be positive");
         assert!(config.num_shards > 0, "need at least one shard");
 
-        // Partition: each shard owns the alarms intersecting its cells.
-        let mut per_shard: Vec<Vec<SpatialAlarm>> = vec![Vec::new(); config.num_shards];
-        for alarm in &alarms {
-            let mut owners: Vec<usize> = grid
-                .cells_intersecting(alarm.region())
-                .map(|cell| shard_of_index(grid.cell_index(cell), config.num_shards))
-                .collect();
-            owners.sort_unstable();
-            owners.dedup();
-            for shard in owners {
-                per_shard[shard].push(alarm.clone());
-            }
-        }
-
         let registry = Arc::new(Registry::new());
         let metrics = ServerMetrics::new(&registry);
         // Trace rings and spans timestamp on the *server clock's* axis:
@@ -426,10 +410,6 @@ impl Server {
             num_shards: config.num_shards,
             v_max,
             global_index: VersionedAlarmIndex::new(alarms).unwrap_or_else(|e| panic!("{e}")),
-            shard_indexes: per_shard
-                .iter()
-                .map(|owned| VersionedShardIndex::build(owned))
-                .collect(),
             fired: RwLock::new(HashSet::new()),
             sessions: SessionTable::new(),
             fed: RwLock::new(None),
@@ -943,10 +923,9 @@ impl Server {
         out.push(Response::Batch { seq, replies });
     }
 
-    /// Installs a static-target alarm everywhere it belongs: the global
-    /// index, every intersecting shard, and the epoch/invalidations of
-    /// every intersecting cell. Moving-target alarms are not part of wire
-    /// protocol v1.
+    /// Installs a static-target alarm: one published index generation,
+    /// then the cache epochs of every intersecting cell. Moving-target
+    /// alarms are not part of wire protocol v1.
     fn install_alarm(&self, session: u32, seq: u32, alarm: u32, flags: u32, rect: [u32; 4]) -> Vec<Response> {
         if !self.core.session_exists(session) {
             return vec![Response::Error { seq, code: error_code::NO_SESSION }];
@@ -971,18 +950,17 @@ impl Server {
         // A gapped or out-of-order id is a malformed (wire-reachable)
         // frame: reject it with a typed error mapped to a response, never
         // a panic on a worker or router thread.
-        if self.core.global_index.try_install(alarm.clone()).is_err() {
+        let id = alarm.id();
+        if self.core.global_index.try_install(alarm).is_err() {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        for shard in self.core.shards_of_region(region) {
-            self.core.shard_indexes[shard].install(&alarm);
-        }
+        self.core.set_index_gauges();
         self.core.bump_cells(region);
-        self.core.tracer.event(self.core.num_shards, "install", alarm.id().0, session as u64);
+        self.core.tracer.event(self.core.num_shards, "install", id.0, session as u64);
         vec![Response::Ack { seq }]
     }
 
-    /// Deactivates an alarm in the global and shard indexes and
+    /// Deactivates an alarm (one published index generation) and
     /// invalidates the cached regions of every cell it intersected.
     fn remove_alarm(&self, session: u32, seq: u32, alarm: u32) -> Vec<Response> {
         if !self.core.session_exists(session) {
@@ -999,9 +977,7 @@ impl Server {
         if !self.core.global_index.deactivate(id) {
             return vec![Response::Error { seq, code: error_code::UNKNOWN_ALARM }];
         }
-        for shard in self.core.shards_of_region(region) {
-            self.core.shard_indexes[shard].deactivate(id);
-        }
+        self.core.set_index_gauges();
         self.core.bump_cells(region);
         self.core.tracer.event(self.core.num_shards, "remove", id.0, session as u64);
         vec![Response::Ack { seq }]
@@ -1080,18 +1056,9 @@ impl Core {
         self.sessions.contains(session)
     }
 
-    /// Runs `f` against this thread's pinned generation of `shard`'s
+    /// Runs `f` against this thread's pinned generation of the alarm
     /// index. Steady state (no publish since the last call on this
     /// thread) is one atomic load — no lock, no allocation.
-    fn with_shard_snapshot<R>(&self, shard: usize, f: impl FnOnce(&ShardSnapshot) -> R) -> R {
-        SHARD_SNAP.with(|c| {
-            let mut cache = c.borrow_mut();
-            f(self.shard_indexes[shard].load_cached(&mut cache))
-        })
-    }
-
-    /// Runs `f` against this thread's pinned generation of the global
-    /// alarm index.
     fn with_global_snapshot<R>(&self, f: impl FnOnce(&AlarmSnapshot) -> R) -> R {
         GLOBAL_SNAP.with(|c| {
             let mut cache = c.borrow_mut();
@@ -1340,15 +1307,12 @@ impl Core {
         )
     }
 
-    fn shards_of_region(&self, region: Rect) -> Vec<usize> {
-        let mut shards: Vec<usize> = self
-            .grid
-            .cells_intersecting(region)
-            .map(|cell| shard_of_index(self.grid.cell_index(cell), self.num_shards))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+    /// Exports the alarm index's delta and dead-set sizes after a write
+    /// published a generation.
+    fn set_index_gauges(&self) {
+        let snap = self.global_index.snapshot();
+        self.metrics.index_delta.set(snap.delta_len() as i64);
+        self.metrics.index_dead.set(snap.dead_len() as i64);
     }
 
     fn bump_cells(&self, region: Rect) {
@@ -1439,16 +1403,15 @@ impl Core {
             );
         }
 
-        // Server-side trigger check against the shard-local index; the
-        // triggering alarm contains `pos`, hence intersects `cell`, hence
-        // is owned by this shard. Hits land in a per-thread scratch
-        // buffer, so the steady-state case (no triggering alarms) queries
-        // the pinned snapshot lock-free, finds nothing, and never
-        // allocates — and the `fired` write lock is not taken at all.
+        // Server-side trigger check against the pinned alarm snapshot.
+        // Hits land in a per-thread scratch buffer, so the steady-state
+        // case (no triggering alarms) queries the snapshot lock-free,
+        // finds nothing, and never allocates — and the `fired` write lock
+        // is not taken at all.
         let fired_now = TRIGGER_SCRATCH.with(|scratch| {
             let mut triggering = scratch.borrow_mut();
             triggering.clear();
-            self.with_shard_snapshot(shard, |snap| {
+            self.with_global_snapshot(|snap| {
                 snap.for_each_triggering(user, pos, |id| triggering.push(id));
             });
             if triggering.is_empty() {
@@ -1477,14 +1440,14 @@ impl Core {
 
         match strategy {
             StrategySpec::Mwpsr => {
-                let candidates =
-                    self.with_shard_snapshot(shard, |s| s.relevant_intersecting(user, cell_rect));
                 let fired = self.fired_for(user);
-                let obstacles: Vec<Rect> = candidates
-                    .iter()
-                    .filter(|v| !fired.contains(&v.id))
-                    .map(|v| v.region)
-                    .collect();
+                let obstacles: Vec<Rect> = self.with_global_snapshot(|s| {
+                    s.relevant_intersecting(user, cell_rect)
+                        .into_iter()
+                        .filter(|a| !fired.contains(&a.id()))
+                        .map(SpatialAlarm::region)
+                        .collect()
+                });
                 self.metrics.region_computations.inc();
                 let started_ns = self.clock.now_ns();
                 let region =
@@ -1542,19 +1505,19 @@ impl Core {
             }
             StrategySpec::Opt => {
                 let started_ns = self.clock.now_ns();
-                let views =
-                    self.with_shard_snapshot(shard, |s| s.all_intersecting(user, cell_rect));
                 let fired = self.fired_for(user);
                 self.metrics.region_computations.inc();
-                let alarms = views
-                    .iter()
-                    .filter(|v| !fired.contains(&v.id))
-                    .map(|v| crate::wire::PushedAlarm {
-                        alarm: v.id.0 as u32,
-                        relevant: v.relevant,
-                        rect: quantize_rect(v.region),
-                    })
-                    .collect();
+                let alarms = self.with_global_snapshot(|s| {
+                    s.all_intersecting(cell_rect)
+                        .into_iter()
+                        .filter(|a| !fired.contains(&a.id()))
+                        .map(|a| crate::wire::PushedAlarm {
+                            alarm: a.id().0 as u32,
+                            relevant: a.is_relevant_to(user),
+                            rect: quantize_rect(a.region()),
+                        })
+                        .collect()
+                });
                 self.metrics
                     .compute_hist(strategy)
                     .record_duration(self.clock.elapsed_since(started_ns));
@@ -1610,17 +1573,25 @@ impl Core {
         height: u32,
         trace: u64,
     ) -> sa_core::BitmapSafeRegion {
-        let views = self.with_shard_snapshot(shard, |s| s.relevant_intersecting(user, cell_rect));
         let fired = self.fired_for(user);
-        let personal_unfired: Vec<Rect> = views
-            .iter()
-            .filter(|v| !v.public && !fired.contains(&v.id))
-            .map(|v| v.region)
-            .collect();
-        let any_public_fired = views.iter().any(|v| v.public && fired.contains(&v.id));
+        // The user's unfired obstacles, and whether they are exactly the
+        // cell's public set: every public alarm unfired, every personal
+        // one fired.
+        let (obstacles, public_view) = self.with_global_snapshot(|s| {
+            let mut public_view = true;
+            let mut obstacles = Vec::new();
+            for a in s.relevant_intersecting(user, cell_rect) {
+                let fired = fired.contains(&a.id());
+                public_view &= a.is_public() != fired;
+                if !fired {
+                    obstacles.push(a.region());
+                }
+            }
+            (obstacles, public_view)
+        });
         let computer = PyramidComputer::new(PyramidConfig::three_by_three(height));
 
-        if personal_unfired.is_empty() && !any_public_fired {
+        if public_view {
             // The user's obstacle set is exactly the cell's public set:
             // the cacheable case the paper precomputes offline.
             let cell_index = self.grid.cell_index(cell);
@@ -1641,18 +1612,11 @@ impl Core {
                 return region;
             }
             let epoch = self.cache.epoch(cell_index);
-            let public: Vec<Rect> =
-                views.iter().filter(|v| v.public).map(|v| v.region).collect();
             self.metrics.region_computations.inc();
-            let region = computer.compute(cell_rect, &public);
+            let region = computer.compute(cell_rect, &obstacles);
             self.cache.insert(cell_index, height, epoch, region.clone());
             region
         } else {
-            let obstacles: Vec<Rect> = views
-                .iter()
-                .filter(|v| !fired.contains(&v.id))
-                .map(|v| v.region)
-                .collect();
             self.metrics.region_computations.inc();
             computer.compute(cell_rect, &obstacles)
         }
