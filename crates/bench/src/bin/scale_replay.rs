@@ -16,8 +16,16 @@
 //! The baseline is truncated because at paper scale the per-request
 //! path is exactly what this binary exists to prove too slow to gate on.
 //!
+//! Run length is a measured dimension too: `late_slowdown` is the median
+//! per-update wall cost of the last quarter of the steps divided by that
+//! of the first quarter ([`sa_server::ReplayOutcome::late_slowdown`]).
+//! State that grows with the run and is scanned per update shows as a
+//! ratio well above 1. `--max-late-slowdown F` fails the run when the
+//! ratio exceeds `F`.
+//!
 //! Usage: `scale_replay [--scale F] [--steps N] [--workers N]
-//!                      [--baseline-steps N] [--out PATH]`
+//!                      [--baseline-steps N] [--max-late-slowdown F]
+//!                      [--out PATH]`
 
 use sa_server::wire::StrategySpec;
 use sa_server::{replay_batched_in_proc, replay_in_proc, ReplayConfig, ServerConfig, TraceMode};
@@ -31,6 +39,7 @@ struct Opts {
     steps: Option<u32>,
     workers: usize,
     baseline_steps: u32,
+    max_late_slowdown: Option<f64>,
     out: PathBuf,
 }
 
@@ -42,6 +51,7 @@ fn parse_args() -> Opts {
         steps: None,
         workers: default_workers,
         baseline_steps: 300,
+        max_late_slowdown: None,
         out: PathBuf::from("BENCH_scale_replay.json"),
     };
     let mut args = std::env::args().skip(1);
@@ -60,11 +70,15 @@ fn parse_args() -> Opts {
                 opts.baseline_steps =
                     value().parse().expect("--baseline-steps expects an integer");
             }
+            "--max-late-slowdown" => {
+                opts.max_late_slowdown =
+                    Some(value().parse().expect("--max-late-slowdown expects a float"));
+            }
             "--out" => opts.out = PathBuf::from(value()),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scale_replay [--scale F] [--steps N] [--workers N] \
-                     [--baseline-steps N] [--out PATH]"
+                     [--baseline-steps N] [--max-late-slowdown F] [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -120,6 +134,7 @@ fn main() {
     let steps_per_sec = outcome.steps as f64 / wall_seconds.max(1e-9);
     let updates_per_sec = outcome.server.location_updates as f64 / wall_seconds.max(1e-9);
     let cache_ratio = hit_ratio(outcome.cache.hits, outcome.cache.misses);
+    let late_slowdown = outcome.late_slowdown();
 
     // Per-request baseline over a truncated prefix of the same trace.
     let (baseline_steps, baseline_updates_per_sec) = if opts.baseline_steps == 0 {
@@ -155,6 +170,12 @@ fn main() {
     let _ = writeln!(json, "  \"location_updates\": {},", outcome.server.location_updates);
     let _ = writeln!(json, "  \"updates_per_sec\": {updates_per_sec:.3},");
     let _ = writeln!(json, "  \"triggers\": {},", outcome.server.triggers);
+    match late_slowdown {
+        Some(ratio) => {
+            let _ = writeln!(json, "  \"late_slowdown\": {ratio:.6},");
+        }
+        None => json.push_str("  \"late_slowdown\": null,\n"),
+    }
     let _ = writeln!(json, "  \"update_rtt_ns\": {{");
     let _ = writeln!(json, "    \"p50\": {},", rtt.p50);
     let _ = writeln!(json, "    \"p90\": {},", rtt.p90);
@@ -176,7 +197,7 @@ fn main() {
     std::fs::write(&opts.out, &json).expect("writing the benchmark report");
     println!(
         "batched replay: {} steps × {} vehicles in {:.2}s ({:.1} steps/s, \
-         {:.0} updates/s, rtt p99={}ns, cache hit ratio {:.1}%); \
+         {:.0} updates/s, rtt p99={}ns, cache hit ratio {:.1}%, late slowdown {}); \
          per-request baseline {:.0} updates/s over {} steps → {:.1}× speedup → {}",
         outcome.steps,
         outcome.clients.len(),
@@ -185,9 +206,29 @@ fn main() {
         updates_per_sec,
         rtt.p99,
         100.0 * cache_ratio,
+        late_slowdown.map_or_else(|| "n/a".to_string(), |r| format!("{r:.2}×")),
         baseline_updates_per_sec,
         baseline_steps,
         speedup,
         opts.out.display()
     );
+
+    if let Some(max) = opts.max_late_slowdown {
+        match late_slowdown {
+            Some(ratio) if ratio <= max => {
+                println!("late-slowdown check passed: {ratio:.3} ≤ {max}");
+            }
+            Some(ratio) => {
+                eprintln!(
+                    "late-slowdown check FAILED: the last quarter's per-update cost is \
+                     {ratio:.3}× the first quarter's (limit {max})"
+                );
+                std::process::exit(1);
+            }
+            None => {
+                eprintln!("late-slowdown check FAILED: the run is too short to split in quarters");
+                std::process::exit(1);
+            }
+        }
+    }
 }

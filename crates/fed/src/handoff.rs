@@ -1,22 +1,22 @@
 //! The inter-server session-migration channel.
 //!
 //! A handoff moves one session's state — strategy, last cell, delivery
-//! log and fired set — from the member that served the vehicle so far
-//! to the member owning its new cell. The protocol is three exchanges,
-//! each **idempotent**, so any leg can be retried after a transient
-//! fault without corrupting either side:
+//! log and the subscriber's fired alarms — from the member that served
+//! the vehicle so far to the member owning its new cell. The protocol
+//! is three exchanges, each **idempotent**, so any leg can be retried
+//! after a transient fault without corrupting either side:
 //!
 //! 1. `HandoffExport` — a read-only snapshot from the old owner. A
 //!    `NO_SESSION` error means a previous (partially observed) attempt
 //!    already released the session: the move is done, skip ahead.
 //! 2. `HandoffImport` — overwrite-install the snapshot at the new
-//!    owner and union its fired pairs. Replaying the same import
-//!    re-installs the same state.
+//!    owner and union its fired alarms into the subscriber's. Replaying
+//!    the same import re-installs the same state.
 //! 3. `HandoffRelease` — drop the session at the old owner. Always
-//!    acknowledged; releasing an absent session is a no-op. The fired
-//!    pairs stay behind on purpose — they can only *suppress* future
-//!    firings, never add one, and a vehicle that crosses back re-imports
-//!    over them.
+//!    acknowledged; releasing an absent session is a no-op. The
+//!    subscriber's fired alarms stay behind on purpose — they can only
+//!    *suppress* future firings, never add one, and a vehicle that
+//!    crosses back re-imports over them.
 //!
 //! Soundness under the safe-region invariant: the safe region the old
 //! owner installed stays valid throughout — the client stays silent

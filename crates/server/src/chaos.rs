@@ -462,7 +462,14 @@ pub fn chaos_replay_in_proc(
     let injected_total = driven.injected.iter().map(|(_, n)| n).sum();
     let total_samples = u64::from(drive.steps()) * u64::from(vehicles);
     Ok(ChaosOutcome {
-        replay: conclude(harness, &server, drive.steps(), driven.fired, driven.clients),
+        replay: conclude(
+            harness,
+            &server,
+            drive.steps(),
+            driven.fired,
+            driven.clients,
+            driven.step_costs,
+        ),
         injected: driven.injected,
         injected_total,
         degraded_fraction: if total_samples == 0 {

@@ -77,7 +77,7 @@ pub use netfront::{
 pub use reactor::{Reactor, ReactorConfig};
 pub use replay::{
     ground_truth_gate, replay, replay_batched_in_proc, replay_in_proc, replay_tcp, shuffle,
-    Driven, FleetDrive, Link, ReplayConfig, ReplayOutcome, Seated,
+    Driven, FleetDrive, Link, ReplayConfig, ReplayOutcome, Seated, StepCost,
 };
 pub use sa_obs::TraceMode;
 pub use server::{quantize_rect, Server, ServerConfig, ServerStats};

@@ -200,8 +200,8 @@ pub struct TraceCtxExt {
 /// the delivery log (so a post-handoff [`Request::Resync`] re-delivers
 /// from the same cursor), the subscriber's fired alarms (so the new
 /// owner never re-fires them), and the quick-update cell. Both vectors
-/// are in deterministic order — the fired set is sorted by the exporter
-/// — so the encoding is a pure function of the session.
+/// are in deterministic order — the exporter sorts the subscriber's
+/// fired alarms — so the encoding is a pure function of the session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionState {
     /// Subscriber id of the session.
@@ -365,8 +365,8 @@ pub enum Request {
     },
     /// Installs exported session state at `session` on the new owner
     /// (the second leg of a handoff). Overwrites any existing state at
-    /// that id and unions the blob's fired alarms into the server's
-    /// fired set, so a retried import is idempotent. Answered inline
+    /// that id and unions the blob's fired alarms into the subscriber's
+    /// fired alarms, so a retried import is idempotent. Answered inline
     /// with an [`Response::Ack`].
     HandoffImport {
         /// Request sequence number (28 bits).
@@ -381,9 +381,9 @@ pub enum Request {
     /// Drops `session` on the old owner (the final leg of a handoff).
     /// Idempotent — releasing an absent session still acks, and a lost
     /// release merely leaves a stale copy the next import overwrites.
-    /// The subscriber's fired alarms are deliberately retained: extra
-    /// fired entries can only suppress an already-fired alarm, never
-    /// add a firing.
+    /// The subscriber's fired alarms are deliberately retained: an
+    /// extra fired alarm can only suppress an already-fired alarm,
+    /// never add a firing.
     HandoffRelease {
         /// Request sequence number (28 bits).
         seq: u32,

@@ -235,6 +235,16 @@ fn corpus() -> Vec<Case> {
             expected: ServerError { code: error_code::UNKNOWN_ALARM },
         },
         Case {
+            name: "req_notify_unknown_alarm",
+            direction: Req,
+            // A well-formed trigger notify naming alarm 7 on a server
+            // whose index never held it. Used to be recorded as a
+            // firing, so one session could grow the server's trigger
+            // state without bound; must answer `Error { UNKNOWN_ALARM }`.
+            bytes: frame(&[head(3, 2), 7], &[]),
+            expected: ServerError { code: error_code::UNKNOWN_ALARM },
+        },
+        Case {
             name: "net_oversized_frame_live",
             direction: Direction::Socket,
             // A length prefix one past MAX_FRAME_LEN on an otherwise
